@@ -1,9 +1,13 @@
 """Principal matrix square roots and the operator bundle built from them.
 
-The principal square root is computed from the complex Schur form with the
-triangular recurrence; the result's spectrum lies in the closed right
-half-plane.  Bundles collect the mode-space operators (Lambda, Omega family)
-and their node-space counterparts (H family) for one Laplacian split.
+The principal square root is computed from the complex Schur form, sorted so
+that the zero-eigenvalue cluster comes last: the nonzero block's root is built
+one column at a time by triangular solves, its coupling to the zero cluster by
+one multi-right-hand-side solve, and the zero eigenvalue is semisimple exactly
+when the trailing Schur block vanishes.  The result's spectrum lies in the
+closed right half-plane.  Bundles collect the mode-space operators (Lambda,
+Omega family) and their node-space counterparts (H family) for one Laplacian
+split.
 """
 
 from __future__ import annotations
@@ -30,42 +34,35 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if n == 0:
         return mat.copy()
     scale = max(1.0, np.linalg.norm(mat, "fro"))
-    zero_tol_sort = ZERO_EIG_REL_TOL * scale
+    zero_tol = ZERO_EIG_REL_TOL * scale
     try:
-        # zero eigenvalues sorted last so a semisimple zero cluster forms a
-        # contiguous (numerically zero) trailing block
-        T, Z, _ = scipy.linalg.schur(
-            mat, output="complex", sort=lambda lam: abs(lam) > zero_tol_sort
+        # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
+        # (k x k) nonsingular and T22 carrying the zero cluster
+        T, Z, k = scipy.linalg.schur(
+            mat, output="complex", sort=lambda lam: abs(lam) > zero_tol
         )
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
 
-    eigs = np.diag(T).copy()
-    zero_tol = ZERO_EIG_REL_TOL * scale
-    for lam in eigs:
-        if abs(lam) <= zero_tol:
-            continue
-        if lam.real < 0 and abs(lam.imag) <= zero_tol:
-            raise SqrtUndefined(lam, "negative real eigenvalue")
-    n_zero = int(np.sum(np.abs(eigs) <= zero_tol))
-    if n_zero:
-        if np.linalg.matrix_rank(mat, tol=zero_tol) > n - n_zero:
-            raise SqrtUndefined(0.0, "defective zero eigenvalue")
+    eigs = np.diag(T)[:k]
+    negative = np.flatnonzero((eigs.real < 0) & (np.abs(eigs.imag) <= zero_tol))
+    if negative.size:
+        raise SqrtUndefined(eigs[negative[0]], "negative real eigenvalue")
+    # rank(T) = rank(T11) + rank(T22), so the zero eigenvalue is semisimple
+    # exactly when the (nilpotent) trailing block vanishes
+    if k < n and np.abs(np.triu(T[k:, k:], 1)).max() > 1e-12 * scale:
+        raise SqrtUndefined(0.0, "defective zero eigenvalue")
 
+    # U22 = 0; column j of U11 solves (U[:j,:j] + U[j,j] I) U[:j,j] = T[:j,j],
+    # and U12 solves U11 U12 = T12
     U = np.zeros_like(T)
-    d = np.where(np.abs(eigs) <= zero_tol, 0.0, eigs)
-    np.fill_diagonal(U, np.sqrt(d))
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            rhs = T[i, j] - U[i, i + 1 : j] @ U[i + 1 : j, j]
-            denom = U[i, i] + U[j, j]
-            if abs(denom) <= 1e-14 * scale:
-                if abs(rhs) <= 1e-12 * scale:
-                    U[i, j] = 0.0
-                else:
-                    raise SqrtUndefined(eigs[i], "coupled zero eigenvalues")
-            else:
-                U[i, j] = rhs / denom
+    U[range(k), range(k)] = np.sqrt(eigs)
+    for j in range(1, k):
+        A = U[:j, :j].copy()
+        A.flat[:: j + 1] += U[j, j]
+        U[:j, j] = scipy.linalg.solve_triangular(A, T[:j, j], check_finite=False)
+    if 0 < k < n:
+        U[:k, k:] = scipy.linalg.solve_triangular(U[:k, :k], T[:k, k:], check_finite=False)
     return Z @ U @ Z.conj().T
 
 
