@@ -8,6 +8,7 @@ floats); trajectories can be exported as CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,13 +27,34 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _nonnegative(text):
+    """argparse type: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
+def _positive(text):
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def _vector(text):
+    """argparse type for a comma-separated list of numbers."""
+    return np.array([float(p) for p in text.split(",")])
+
+
 def _add_common(sub, multi_input=False):
     if multi_input:
         sub.add_argument("--input", required=True, nargs="+", help="edge-list file(s)")
     else:
         sub.add_argument("--input", required=True, help="edge-list file")
-    sub.add_argument("--t-end", type=float, default=10.0)
-    sub.add_argument("--dt", type=float, default=1e-3)
+    sub.add_argument("--t-end", type=_nonnegative, default=10.0)
+    sub.add_argument("--dt", type=_positive, default=1e-3)
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0)
@@ -60,20 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sqrt":
             sub.add_argument("--dump-operators", action="store_true")
         if name in ("simulate", "doubled"):
-            sub.add_argument("--x0", help="comma-separated initial positions")
-            sub.add_argument("--v0", help="comma-separated initial velocities")
+            sub.add_argument("--x0", type=_vector, help="comma-separated initial positions")
+            sub.add_argument("--v0", type=_vector, help="comma-separated initial velocities")
         if name in ("fundamental", "product-form"):
             sub.add_argument("--sign", choices=("+", "-"), default="+")
-            sub.add_argument("--psi0", help="comma-separated initial mode amplitudes")
+            sub.add_argument(
+                "--psi0", type=_vector, help="comma-separated initial mode amplitudes"
+            )
     verify = subs.add_parser("verify")
     _add_common(verify, multi_input=True)
     return parser
 
 
-def _parse_vector(arg, n, default):
-    if arg is None:
+def _parse_vector(vec, n, default):
+    if vec is None:
         return default
-    vec = np.array([float(p) for p in arg.split(",")])
     if len(vec) != n:
         raise DimensionMismatch(f"expected {n} components, got {len(vec)}")
     return vec
@@ -310,8 +333,9 @@ def run(argv) -> int:
     except NetoscError as exc:
         sys.stderr.write(canonical_json(exc.payload()) + "\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
-        sys.stderr.write(canonical_json({"error": "FileNotFound", "detail": str(exc)}) + "\n")
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        error = type(exc).__name__.removesuffix("Error")
+        sys.stderr.write(canonical_json({"error": error, "detail": str(exc)}) + "\n")
         return 2
     if isinstance(result, str):
         sys.stdout.write(result)

@@ -42,7 +42,7 @@ class SelfLoop(InputError):
 
 class NonPositiveWeight(InputError):
     def __init__(self, line_no, weight):
-        super().__init__(f"line {line_no}: weight {weight} is not positive")
+        super().__init__(f"line {line_no}: weight {weight} is not a positive finite number")
         self.line_no = line_no
         self.weight = weight
 

@@ -1,7 +1,8 @@
 """Weighted directed graphs and the matrices derived from them.
 
 Edge-list text format: one edge per line, ``src,dst,weight`` (comma or tab
-separated), ``#`` starts a comment, weight defaults to 1.0.  Node labels are
+separated), ``#`` starts a comment, weight defaults to 1.0 and must be positive
+and finite.  Node labels are
 arbitrary strings remapped to dense indices in order of first appearance; the
 label table travels with the graph.
 """
@@ -9,6 +10,7 @@ label table travels with the graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Simple directed graph: no self-loops, no duplicate links, weights > 0."""
+    """Simple directed graph: no self-loops, no duplicate links, finite weights > 0."""
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -33,7 +35,7 @@ class WeightedDigraph:
                 raise SelfLoop(self.labels[src])
             if (src, dst) in seen:
                 raise DuplicateEdge(self.labels[src], self.labels[dst])
-            if not w > 0:
+            if not 0 < w < math.inf:
                 raise NonPositiveWeight(-1, w)
             seen.add((src, dst))
 
@@ -113,7 +115,7 @@ def parse_edge_list(text: str) -> WeightedDigraph:
             w = 1.0
         if src_label == dst_label:
             raise SelfLoop(src_label)
-        if not w > 0:
+        if not 0 < w < math.inf:
             raise NonPositiveWeight(line_no, w)
         src, dst = node(src_label), node(dst_label)
         if (src, dst) in seen:

@@ -167,3 +167,37 @@ def test_info_and_spectrum(graph_file, capsys):
     assert code == 0
     assert report["eigenvalues"][0] == pytest.approx(0.0, abs=1e-9)
     assert report["symmetrizable"] is True
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "sqrt"])
+def test_infinite_weight_exit_code(tmp_path, capsys, command):
+    p = tmp_path / "inf.csv"
+    p.write_text("a,b,inf\nb,a,1\n")
+    code = run([command, "--input", str(p), "--t-end", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "NonPositiveWeight"
+    assert "finite" in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dt", "0"], ["--t-end", "-1"], ["--x0", "1,x,0"]],
+    ids=["dt-zero", "t-end-negative", "x0-not-a-number"],
+)
+def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--input", graph_file(sym2())] + flags)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.splitlines()[-1])["error"] == "Usage"
+
+
+def test_directory_input_exit_code(tmp_path, capsys):
+    code = run(["info", "--input", str(tmp_path)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "IsADirectory"

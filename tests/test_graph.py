@@ -41,6 +41,14 @@ def test_zero_weight_rejected():
         parse_edge_list("a,b,0")
 
 
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+def test_non_finite_weight_rejected(weight):
+    with pytest.raises(NonPositiveWeight):
+        parse_edge_list(f"a,b,{weight}")
+    with pytest.raises(NonPositiveWeight):
+        from_edges([("a", "b", float(weight))])
+
+
 def test_malformed_line():
     with pytest.raises(ParseError) as exc:
         parse_edge_list("a,b,1\noops")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from netosc import build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
 from netosc import spectral_decomposition, sqrt_residual
@@ -113,6 +114,39 @@ def test_square_root_fill_in_on_path():
 def test_spectral_mapping(rng):
     g = random_digraph(rng, 6)
     b = bundle_for(g)
-    lam = np.sort_complex(np.linalg.eigvals(b.Lambda))
-    omega = np.sort_complex(np.linalg.eigvals(b.Omega) ** 2)
-    assert np.allclose(lam, omega, atol=1e-8)
+    lam = np.linalg.eigvals(b.Lambda)
+    omega = np.linalg.eigvals(b.Omega) ** 2
+    # pair each eigenvalue of Omega^2 with its nearest one of Lambda, one to
+    # one: sorting would let a conjugate pair whose real parts tie to rounding
+    # land in either order
+    rows, cols = linear_sum_assignment(np.abs(lam[:, None] - omega[None, :]))
+    assert np.allclose(lam[rows], omega[cols], atol=1e-8)
+
+
+def test_principal_sqrt_two_component_laplacian():
+    # two zero eigenvalues, one per component; the second block's one-way
+    # weights give the Schur form a nonzero coupling T12 to the zero cluster
+    L = np.zeros((4, 4))
+    L[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    L[2:, 2:] = [[2.0, -2.0], [-3.0, 3.0]]
+    root = principal_sqrt(L)
+    assert np.linalg.norm(root @ root - L) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.eye(3, k=1),  # 3x3 nilpotent Jordan block
+        np.array([[1.0, 5.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ],
+)
+def test_principal_sqrt_rejects_larger_defective_zero(mat):
+    with pytest.raises(SqrtUndefined, match="defective zero eigenvalue"):
+        principal_sqrt(mat)
+
+
+def test_principal_sqrt_large_one_way_graph(rng):
+    _, _, L = build_matrices(random_digraph(rng, 120))
+    root = principal_sqrt(L)
+    assert np.linalg.norm(root @ root - L) <= 1e-12 * np.linalg.norm(L)
+    assert np.linalg.eigvals(root).real.min() >= -1e-10
