@@ -82,8 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sqrt":
             sub.add_argument("--dump-operators", action="store_true")
         if name in ("simulate", "doubled"):
-            sub.add_argument("--x0", type=_vector, help="comma-separated initial positions")
-            sub.add_argument("--v0", type=_vector, help="comma-separated initial velocities")
+            sub.add_argument(
+                "--x0", type=_vector, help="comma-separated initial positions"
+            )
+            sub.add_argument(
+                "--v0", type=_vector, help="comma-separated initial velocities"
+            )
         if name in ("fundamental", "product-form"):
             sub.add_argument("--sign", choices=("+", "-"), default="+")
             sub.add_argument(

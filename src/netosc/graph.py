@@ -2,9 +2,8 @@
 
 Edge-list text format: one edge per line, ``src,dst,weight`` (comma or tab
 separated), ``#`` starts a comment, weight defaults to 1.0 and must be positive
-and finite.  Node labels are
-arbitrary strings remapped to dense indices in order of first appearance; the
-label table travels with the graph.
+and finite.  Node labels are arbitrary strings remapped to dense indices in
+order of first appearance; the label table travels with the graph.
 """
 
 from __future__ import annotations

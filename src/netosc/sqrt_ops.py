@@ -1,13 +1,11 @@
 """Principal matrix square roots and the operator bundle built from them.
 
-The principal square root is computed from the complex Schur form, sorted so
-that the zero-eigenvalue cluster comes last: the nonzero block's root is built
-one column at a time by triangular solves, its coupling to the zero cluster by
-one multi-right-hand-side solve, and the zero eigenvalue is semisimple exactly
-when the trailing Schur block vanishes.  The result's spectrum lies in the
-closed right half-plane.  Bundles collect the mode-space operators (Lambda,
-Omega family) and their node-space counterparts (H family) for one Laplacian
-split.
+The principal square root is computed from the complex Schur form with the
+zero eigenvalues sorted last: column-wise triangular solves give the root, and
+the zero eigenvalue is semisimple exactly when the trailing Schur block
+vanishes.  The result's spectrum lies in the closed right half-plane.  Bundles
+collect the mode-space operators (Lambda, Omega family) and their node-space
+counterparts (H family) for one Laplacian split.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     negative = np.flatnonzero((eigs.real < 0) & (np.abs(eigs.imag) <= zero_tol))
     if negative.size:
         raise SqrtUndefined(eigs[negative[0]], "negative real eigenvalue")
-    # rank(T) = rank(T11) + rank(T22), so the zero eigenvalue is semisimple
-    # exactly when the (nilpotent) trailing block vanishes
+    # rank(T) = rank(T11) + rank(T22): the zero eigenvalue is semisimple exactly
+    # when T22 (zero on its diagonal to within zero_tol) vanishes above it
     if k < n and np.abs(np.triu(T[k:, k:], 1)).max() > 1e-12 * scale:
         raise SqrtUndefined(0.0, "defective zero eigenvalue")
 

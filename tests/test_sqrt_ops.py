@@ -46,13 +46,20 @@ def test_principal_sqrt_matches_eig_oracle(rng):
 
 
 def test_principal_sqrt_rejects_negative_real():
-    with pytest.raises(SqrtUndefined):
+    with pytest.raises(SqrtUndefined, match="negative real eigenvalue"):
         principal_sqrt(np.diag([1.0, -2.0]))
 
 
 def test_principal_sqrt_rejects_defective_zero():
-    with pytest.raises(SqrtUndefined):
-        principal_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # nilpotent 2x2 and 3x3 Jordan blocks, and a 2x2 zero Jordan block
+    # coupled to a nonzero eigenvalue
+    for mat in (
+        np.eye(2, k=1),
+        np.eye(3, k=1),
+        np.array([[1.0, 5.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    ):
+        with pytest.raises(SqrtUndefined, match="defective zero eigenvalue"):
+            principal_sqrt(mat)
 
 
 def test_principal_sqrt_semisimple_multiple_zero():
@@ -131,18 +138,6 @@ def test_principal_sqrt_two_component_laplacian():
     L[2:, 2:] = [[2.0, -2.0], [-3.0, 3.0]]
     root = principal_sqrt(L)
     assert np.linalg.norm(root @ root - L) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "mat",
-    [
-        np.eye(3, k=1),  # 3x3 nilpotent Jordan block
-        np.array([[1.0, 5.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
-    ],
-)
-def test_principal_sqrt_rejects_larger_defective_zero(mat):
-    with pytest.raises(SqrtUndefined, match="defective zero eigenvalue"):
-        principal_sqrt(mat)
 
 
 def test_principal_sqrt_large_one_way_graph(rng):
