@@ -60,14 +60,6 @@ class SqrtUndefined(NumericalFailure):
         self.reason = reason
 
 
-class Diverged(NumericalFailure):
-    """Trajectory exceeded the overflow guard; the truncated prefix is kept."""
-
-    def __init__(self, t):
-        super().__init__(f"state magnitude exceeded 1e12 at t={t}")
-        self.t = t
-
-
 class ModelViolation(NetoscError):
     """Request conflicts with a model precondition (exit code 4)."""
 
