@@ -152,11 +152,8 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
 
 
 def projection_identity_check(f: SparseFactors, x_hat) -> float:
-    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x.
-
-    x_hat is one doubled state or a (k, 2n) array of them, one per row; the
-    result is the largest residual over the rows.
-    """
+    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x; for a (k, 2n)
+    array of doubled states, the largest residual over its rows."""
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=complex))
     H_hat_T = hat_H_structured(f).matrix.T
     lhs = branch_sum(x_hat @ H_hat_T @ H_hat_T)

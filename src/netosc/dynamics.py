@@ -1,13 +1,10 @@
 """Time integration, oscillation energy, and divergence scoring.
 
-Every integrator here is linear and autonomous on a uniform grid, so one
-step is a fixed matrix S and the trajectory is S^k y0.  Second-order dynamics
-(d^2x/dt^2 = -Lx) use classical RK4 on the (x, v) system, whose step is the
-RK4 stage code applied once to the identity; first-order dynamics
-(+-i dpsi/dt = Omega psi) use the exact one-step propagator
-expm(-+ i Omega dt).  All of them run through one blocked propagation core
-with a single overflow rule: the first row that is non-finite or exceeds
-OVERFLOW_LIMIT ends the run.
+Each integrator is a fixed one-step matrix run through one blocked core,
+`_propagate`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
+applied once to the identity) and the exact propagator expm(-+i Omega dt)
+for +-i dpsi/dt = Omega psi.  The first row that is non-finite or exceeds
+OVERFLOW_LIMIT in modulus ends a run.
 """
 
 from __future__ import annotations
@@ -20,8 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
-from .graph import WeightedDigraph, build_matrices
-from .sqrt_ops import principal_sqrt
+from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition
 
 OVERFLOW_LIMIT = 1e12

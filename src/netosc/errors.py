@@ -47,6 +47,18 @@ class NonPositiveWeight(InputError):
         self.weight = weight
 
 
+class NotUtf8(InputError):
+    def __init__(self, path, exc):
+        super().__init__(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        self.path = path
+
+
+class DegreeOverflow(InputError):
+    def __init__(self, node):
+        super().__init__(f"out-degree of node {node} overflows: its weights sum past the float range")
+        self.node = node
+
+
 class NumericalFailure(NetoscError):
     """Numerical breakdown: solver non-convergence, overflow (exit code 3)."""
 

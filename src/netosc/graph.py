@@ -14,9 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateEdge, NonPositiveWeight, ParseError, SelfLoop
-
-ROW_SUM_TOL = 1e-12
+from .errors import (
+    DegreeOverflow,
+    DuplicateEdge,
+    NonPositiveWeight,
+    NotUtf8,
+    ParseError,
+    SelfLoop,
+)
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,23 @@ def parse_edge_list(text: str) -> WeightedDigraph:
 
 def load_edge_list(path) -> WeightedDigraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(path, exc) from None
+    return parse_edge_list(text)
 
 
 def build_matrices(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (A, D, L) with L = D - A and D the out-degree diagonal."""
     A = g.adjacency()
-    D = np.diag(A.sum(axis=1))
-    L = D - A
-    assert np.abs(L.sum(axis=1)).max() <= ROW_SUM_TOL
-    return A, D, L
+    with np.errstate(over="ignore"):
+        d = A.sum(axis=1)
+    overflow = np.flatnonzero(np.isinf(d))
+    if len(overflow):
+        raise DegreeOverflow(g.labels[overflow[0]])
+    D = np.diag(d)
+    return A, D, D - A
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:

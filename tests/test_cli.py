@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,8 +186,8 @@ def test_infinite_weight_exit_code(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--dt", "0"], ["--t-end", "-1"], ["--x0", "1,x,0"]],
-    ids=["dt-zero", "t-end-negative", "x0-not-a-number"],
+    [["--dt", "0"], ["--t-end", "-1"], ["--x0", "1,x,0"], ["--t-end", "1e6", "--dt", "1e-9"]],
+    ids=["dt-zero", "t-end-negative", "x0-not-a-number", "grid-too-long"],
 )
 def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -201,3 +202,53 @@ def test_directory_input_exit_code(tmp_path, capsys):
     assert code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "IsADirectory"
+
+
+def single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sqrt"])
+def test_degree_overflow_exit_code(tmp_path, capsys, command):
+    p = tmp_path / "heavy.csv"
+    p.write_text("a,b,1e308\na,c,1e308\nb,a,1\nc,a,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--input", str(p), "--t-end", "0.01"])
+    report = single_error_line(capsys)
+    assert code == 2
+    assert report["error"] == "DegreeOverflow"
+    assert "node a" in report["detail"]
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"\xff\xfe")
+    code = run(["info", "--input", str(p)])
+    assert code == 2
+    assert single_error_line(capsys)["error"] == "NotUtf8"
+
+
+RING3_LONG = ["--t-end", "3000", "--dt", "1e-2"]
+
+
+def test_ring3_long_wave_run_truncates_quietly(graph_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["simulate", "--input", graph_file(ring3())] + RING3_LONG)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["diverged_at"] == 84.56
+
+
+@pytest.mark.parametrize("command", ["fundamental", "product-form", "doubled"])
+def test_ring3_long_first_order_run_fails_with_one_line(graph_file, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--input", graph_file(ring3())] + RING3_LONG)
+    assert code == 3
+    assert single_error_line(capsys)["error"] == "NumericalFailure"

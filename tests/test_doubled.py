@@ -228,6 +228,8 @@ def test_projection_identity(rng):
     for _ in range(100):
         xh = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert projection_identity_check(f, xh) <= 1e-10
+    assert projection_identity_check(f, np.zeros((3, 8))) == 0.0
+    assert projection_identity_check(f, rng.standard_normal((100, 8))) <= 1e-10
 
 
 def test_projection_identity_cancellation(rng):

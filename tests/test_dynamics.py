@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netosc import (
     ModalAmplitudes,
@@ -17,6 +18,8 @@ from netosc import (
 )
 from netosc.errors import GridMismatch, NotSymmetrizable
 from netosc.dynamics import (
+    OVERFLOW_LIMIT,
+    _propagate,
     first_order_residual,
     second_order_residual,
     wave_energy_series,
@@ -235,3 +238,74 @@ def test_wave_divergence_truncates():
     traj = integrate_wave(L, np.array([1.0, 0.0, 0.0]), np.zeros(3), t_end=120.0, dt=1e-2)
     assert "diverged_at" in traj.meta
     assert traj.times[-1] < 120.0
+
+
+def sequential_steps(step, y0, rows):
+    ys = [y0]
+    for _ in range(rows - 1):
+        ys.append(step @ ys[-1])
+    return np.array(ys)
+
+
+@pytest.mark.parametrize(
+    "rows", [1, 2, 49, 50, 97], ids=["t-end-0", "one-step", "square", "square+1", "prime"]
+)
+def test_propagate_matches_sequential_steps(rng, rows):
+    G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    step = scipy.linalg.expm(0.05 * G)
+    y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    got = _propagate(step, y0, np.arange(rows) * 0.01)
+    want = sequential_steps(step, y0, rows)
+    assert got.shape == want.shape
+    rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert rel.max() <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [2.0, 3.0])
+def test_propagate_cuts_before_first_overflow(factor):
+    # 2^40 is the first power of 2 above 1e12 (a block start at 100 rows,
+    # B = 10); 3^26 is the first power of 3, mid-block
+    states = _propagate(np.array([[factor]]), np.array([1.0]), np.arange(100.0))
+    assert np.abs(states).max() <= OVERFLOW_LIMIT < factor * np.abs(states[-1]).max()
+
+
+def test_propagate_watches_only_selected_components():
+    step = np.diag([1.0, 10.0])
+    states = _propagate(step, np.ones(2), np.arange(30.0), watch=slice(1))
+    assert len(states) == 30
+
+
+def product_form_reference(Omega0, OmegaI, psiI0, sign, t_end, dt):
+    """The time-dependent RK4 loop that product_form_solve ran before."""
+    omega0 = np.diag(np.asarray(Omega0, dtype=complex)).copy()
+    OmegaI = np.asarray(OmegaI, dtype=complex)
+    psiI = np.asarray(psiI0, dtype=complex).copy()
+    s = -1j if sign == "+" else 1j
+
+    def rhs(t, y):
+        phase = np.exp(s * omega0 * t)
+        return s * ((OmegaI * np.outer(1.0 / phase, phase)) @ y)
+
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    statesI = np.empty((len(times), len(psiI)), dtype=complex)
+    statesI[0] = psiI
+    for k in range(1, len(times)):
+        t = times[k - 1]
+        k1 = rhs(t, psiI)
+        k2 = rhs(t + 0.5 * dt, psiI + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, psiI + 0.5 * dt * k2)
+        k4 = rhs(t + dt, psiI + dt * k3)
+        psiI = psiI + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        statesI[k] = psiI
+    return np.exp(s * np.outer(times, omega0)) * statesI, statesI
+
+
+def test_product_form_matches_stepwise_rk4(rng):
+    g = random_digraph(rng, 6)
+    _, b = bundle_for(g)
+    psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for sign in "+-":
+        traj, traj_I = product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=2.0, dt=1e-3)
+        want, want_I = product_form_reference(b.Omega0, b.OmegaI, psi0, sign, 2.0, 1e-3)
+        assert np.abs(traj.states - want).max() <= 1e-10
+        assert np.abs(traj_I.states - want_I).max() <= 1e-10

@@ -72,6 +72,13 @@ def test_build_matrices_sink_row_zero():
     assert np.array_equal(L, [[1, -1], [0, 0]])
 
 
+def test_build_matrices_large_finite_weights():
+    g = parse_edge_list("a,b,1e6\nb,a,1\na,c,3.3\nc,a,1\nc,b,0.1\nb,c,7")
+    A, D, L = build_matrices(g)
+    assert np.array_equal(L, D - A)
+    assert np.abs(L.sum(axis=1)).max() <= 1e-12 * np.abs(L).max()
+
+
 def test_build_matrices_directed_ring():
     _, _, L = build_matrices(ring3())
     assert np.array_equal(L, [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
