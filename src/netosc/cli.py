@@ -21,7 +21,6 @@ from .reporting import canonical_json, matrix_payload
 MAX_STEPS = 10**7
 
 
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -55,7 +55,7 @@ class NotUtf8(InputError):
 
 class DegreeOverflow(InputError):
     def __init__(self, node):
-        super().__init__(f"out-degree of node {node} overflows: its weights sum past the float range")
+        super().__init__(f"out-degree of node {node} overflows the float range")
         self.node = node
 
 
