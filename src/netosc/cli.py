@@ -45,8 +45,11 @@ def _positive(text):
 
 
 def _vector(text):
-    """argparse type for a comma-separated list of numbers."""
-    return np.array([float(p) for p in text.split(",")])
+    """argparse type for a comma-separated list of finite numbers."""
+    vec = np.array([float(p) for p in text.split(",")])
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"{text!r} holds a non-finite number")
+    return vec
 
 
 def _add_common(sub, multi_input=False):

@@ -186,8 +186,14 @@ def test_infinite_weight_exit_code(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--dt", "0"], ["--t-end", "-1"], ["--x0", "1,x,0"], ["--t-end", "1e6", "--dt", "1e-9"]],
-    ids=["dt-zero", "t-end-negative", "x0-not-a-number", "grid-too-long"],
+    [
+        ["--dt", "0"],
+        ["--t-end", "-1"],
+        ["--x0", "1,x,0"],
+        ["--x0", "nan,0"],
+        ["--t-end", "1e6", "--dt", "1e-9"],
+    ],
+    ids=["dt-zero", "t-end-negative", "x0-not-a-number", "x0-not-finite", "grid-too-long"],
 )
 def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
     with pytest.raises(SystemExit) as exc:
