@@ -21,7 +21,7 @@ from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition
 
 OVERFLOW_LIMIT = 1e12
-GROWTH_THRESHOLD = 1e-9
+GROWTH_THRESHOLD = 1e-9            # in units of sqrt(||L||_F)
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,10 @@ def flaming_indicator(L) -> FlamingIndicator:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     # snap eigenvalues within solver rounding of the nonnegative real axis onto
-    # it: sqrt amplifies an O(eps) imaginary part near 0 to O(sqrt(eps))
-    clip = 1e-9 * max(1.0, np.linalg.norm(L, "fro"))
+    # it: sqrt amplifies an O(eps) imaginary part near 0 to O(sqrt(eps)).  Both
+    # the clip and the threshold scale with L, so cL gives the same verdict
+    norm = np.linalg.norm(L, "fro")
+    clip = 1e-9 * norm
     eigs = eigs.astype(complex)
     on_axis = (np.abs(eigs.imag) <= clip) & (eigs.real >= -clip)
     eigs[on_axis] = np.maximum(eigs[on_axis].real, 0.0)
@@ -287,5 +289,5 @@ def flaming_indicator(L) -> FlamingIndicator:
     return FlamingIndicator(
         growth_rate=rate,
         worst_eigenvalue=complex(eigs[worst]),
-        verdict="divergent" if rate > GROWTH_THRESHOLD else "stable",
+        verdict="divergent" if rate > GROWTH_THRESHOLD * math.sqrt(norm) else "stable",
     )

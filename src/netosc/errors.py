@@ -53,6 +53,11 @@ class NotUtf8(InputError):
         self.path = path
 
 
+class EmptyGraph(InputError):
+    def __init__(self):
+        super().__init__("the edge list holds no edges")
+
+
 class DegreeOverflow(InputError):
     def __init__(self, node):
         super().__init__(f"out-degree of node {node} overflows the float range")

@@ -2,8 +2,9 @@
 
 Edge-list text format: one edge per line, ``src,dst,weight`` (comma or tab
 separated), ``#`` starts a comment, weight defaults to 1.0 and must be positive
-and finite.  Node labels are arbitrary strings remapped to dense indices in
-order of first appearance; the label table travels with the graph.
+and finite, and there must be at least one edge.  Node labels are arbitrary
+strings remapped to dense indices in order of first appearance; the label
+table travels with the graph.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DegreeOverflow,
     DuplicateEdge,
+    EmptyGraph,
     NonPositiveWeight,
     NotUtf8,
     ParseError,
@@ -126,6 +128,8 @@ def parse_edge_list(text: str) -> WeightedDigraph:
             raise DuplicateEdge(src_label, dst_label)
         seen.add((src, dst))
         edges.append((src, dst, w))
+    if not edges:
+        raise EmptyGraph()
     return WeightedDigraph(n=len(labels), edges=tuple(edges), labels=tuple(labels))
 
 

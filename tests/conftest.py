@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from netosc import from_edges
+
+# property tests draw the same examples on every run and keep tier-1 fast
+settings.register_profile("netosc", derandomize=True, deadline=None, max_examples=40)
+settings.load_profile("netosc")
 
 
 def ring3():

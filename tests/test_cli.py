@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from netosc.cli import run
+from netosc import from_edges
+from netosc.cli import COMMANDS, run
 
-from conftest import path3, ring3, star4, sym2
+from conftest import path3, random_symmetric_graph, ring3, star4, sym2
 
 
 @pytest.fixture
@@ -258,3 +259,24 @@ def test_ring3_long_first_order_run_fails_with_one_line(graph_file, capsys, comm
         code = run([command, "--input", graph_file(ring3())] + RING3_LONG)
     assert code == 3
     assert single_error_line(capsys)["error"] == "NumericalFailure"
+
+
+@pytest.mark.parametrize("text", ["", "# no edges\n\n"], ids=["empty", "comments-only"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_graph_exit_code(tmp_path, capsys, command, text):
+    p = tmp_path / "empty.csv"
+    p.write_text(text)
+    code = run([command, "--input", str(p)])
+    assert code == 2
+    assert single_error_line(capsys)["error"] == "EmptyGraph"
+
+
+def test_sqrt_on_heavy_symmetric_graphs(graph_file, rng, capsys):
+    # eigh rounding on weights of 1e8 is far above an absolute 1e-9 floor
+    for _ in range(5):
+        g = random_symmetric_graph(rng, 40)
+        heavy = from_edges([(g.labels[s], g.labels[d], w * 1e8) for s, d, w in g.edges])
+        code, report = run_json(capsys, ["sqrt", "--input", graph_file(heavy)])
+        assert code == 0
+        assert report["omega_residual"] <= 1e-8
+        assert report["h_residual"] <= 1e-7

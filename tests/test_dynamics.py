@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netosc import (
     ModalAmplitudes,
@@ -230,6 +232,20 @@ def test_flaming_one_way_pair_is_stable():
     _, _, L = build_matrices(from_edges([("1", "2", 1.0)]))
     ind = flaming_indicator(L)
     assert ind.verdict == "stable"
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    exponent=st.floats(-12.0, 12.0),
+)
+def test_flaming_is_scale_invariant(seed, n, exponent):
+    # L -> cL scales every sqrt(lambda), so the rate by sqrt(c); the verdict stays
+    L = build_matrices(random_digraph(np.random.default_rng(seed), n))[2]
+    c = 10.0**exponent
+    base, scaled = flaming_indicator(L), flaming_indicator(c * L)
+    assert scaled.growth_rate == pytest.approx(np.sqrt(c) * base.growth_rate, rel=1e-6, abs=0)
+    assert scaled.verdict == base.verdict
 
 
 def test_wave_divergence_truncates():

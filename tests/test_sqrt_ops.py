@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from netosc import build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
 from netosc import spectral_decomposition, sqrt_residual
-from netosc.errors import SqrtUndefined
-from netosc.sqrt_ops import node_sqrt_residual
+from netosc.errors import NetoscError, SqrtUndefined
+from netosc.sqrt_ops import _quasi_triangular_sqrt, node_sqrt_residual
 
 from conftest import path5, random_digraph, random_symmetric_graph, ring3, sym2
 
@@ -14,6 +17,24 @@ def eig_sqrt(mat):
     """Oracle: principal square root via direct eigendecomposition."""
     vals, vecs = np.linalg.eig(np.asarray(mat, dtype=complex))
     return vecs @ np.diag(np.sqrt(vals)) @ np.linalg.inv(vecs)
+
+
+def complex_schur_sqrt(mat):
+    """Reference: the earlier root from the sorted complex Schur form, one
+    triangular solve per column (its precondition checks left out)."""
+    mat = np.asarray(mat, dtype=complex)
+    n = mat.shape[0]
+    zero_tol = 1e-10 * max(1.0, np.linalg.norm(mat, "fro"))
+    T, Z, k = scipy.linalg.schur(mat, output="complex", sort=lambda lam: abs(lam) > zero_tol)
+    U = np.zeros_like(T)
+    U[range(k), range(k)] = np.sqrt(np.diag(T)[:k])
+    for j in range(1, k):
+        A = U[:j, :j].copy()
+        A.flat[:: j + 1] += U[j, j]
+        U[:j, j] = scipy.linalg.solve_triangular(A, T[:j, j])
+    if 0 < k < n:
+        U[:k, k:] = scipy.linalg.solve_triangular(U[:k, :k], T[:k, k:])
+    return Z @ U @ Z.conj().T
 
 
 def bundle_for(g):
@@ -62,6 +83,17 @@ def test_principal_sqrt_rejects_defective_zero():
             principal_sqrt(mat)
 
 
+def test_principal_sqrt_rejects_tiny_complex_pair_near_jordan_block():
+    # eigenvalues +-1e-11 i sit in the zero cluster as one real 2x2 Schur
+    # block whose large entry lies below the diagonal
+    for mat in (
+        np.array([[0.0, 1e-22], [-1.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-22], [0.0, -1.0, 0.0]]),
+    ):
+        with pytest.raises(SqrtUndefined, match="defective zero eigenvalue"):
+            principal_sqrt(mat)
+
+
 def test_principal_sqrt_semisimple_multiple_zero():
     # block-diagonal with a two-dimensional null space
     M = np.zeros((4, 4))
@@ -69,6 +101,13 @@ def test_principal_sqrt_semisimple_multiple_zero():
     M[1, 1] = 1.0
     root = principal_sqrt(M)
     assert np.allclose(root @ root, M, atol=1e-12)
+
+
+def test_principal_sqrt_zero_matrix():
+    # every eigenvalue in the zero cluster: the nonsingular block is empty
+    root = principal_sqrt(np.zeros((3, 3)))
+    assert root.dtype == np.float64
+    assert not np.any(root)
 
 
 def test_bundle_symmetrizable_is_diagonal(rng):
@@ -145,3 +184,60 @@ def test_principal_sqrt_large_one_way_graph(rng):
     root = principal_sqrt(L)
     assert np.linalg.norm(root @ root - L) <= 1e-12 * np.linalg.norm(L)
     assert np.linalg.eigvals(root).real.min() >= -1e-10
+
+
+def _property_input(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "laplacian":
+        return build_matrices(random_digraph(rng, n))[2]
+    # a random real matrix shifted so its spectrum has real part >= 0.5
+    R = rng.standard_normal((n, n))
+    return R + (0.5 - np.linalg.eigvals(R).real.min()) * np.eye(n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    kind=st.sampled_from(["laplacian", "shifted"]),
+)
+def test_principal_sqrt_property(seed, n, kind):
+    A = _property_input(seed, n, kind)
+    root = principal_sqrt(A)
+    assert root.dtype == np.float64
+    assert np.linalg.norm(root @ root - A) <= 1e-12 * np.linalg.norm(A)
+    assert np.linalg.eigvals(root).real.min() >= -1e-10
+    ref = complex_schur_sqrt(A)
+    assert np.linalg.norm(root - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_quasi_triangular_root_keeps_straddling_block_whole():
+    # 1x1, 2x2, 1x1 blocks: the halving point of 4 rows falls inside the
+    # standardized 2x2 block [[2, 3], [-1.5, 2]], so the split moves past it
+    T = np.array(
+        [
+            [1.0, 0.5, -2.0, 0.7],
+            [0.0, 2.0, 3.0, 1.1],
+            [0.0, -1.5, 2.0, -0.4],
+            [0.0, 0.0, 0.0, 4.0],
+        ]
+    )
+    U = np.zeros_like(T)
+    _quasi_triangular_sqrt(T, U, 0, 4)
+    assert np.linalg.norm(U @ U - T) <= 1e-14 * np.linalg.norm(T)
+    assert np.array_equal(np.tril(U, -1) != 0, np.tril(T, -1) != 0)
+    assert np.allclose(U, complex_schur_sqrt(T), rtol=0, atol=1e-13)
+
+
+def test_principal_sqrt_rejects_complex_input():
+    with pytest.raises(NetoscError, match="real matrix"):
+        principal_sqrt(np.array([[1.0, 1e-3j], [0.0, 1.0]]))
+    # a complex array with zero imaginary part is real input
+    root = principal_sqrt(np.diag([4.0, 9.0]).astype(complex))
+    assert root.dtype == np.float64
+    assert np.array_equal(root, np.diag([2.0, 3.0]))
+
+
+def test_bundle_is_real(rng):
+    b = bundle_for(random_digraph(rng, 12))
+    for name in ("Lambda", "Omega", "OmegaI", "H", "HI", "L"):
+        assert getattr(b, name).dtype == np.float64, name
