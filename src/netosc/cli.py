@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import doubled, dynamics, graph, sqrt_ops, symmetry
-from .errors import DimensionMismatch, NetoscError, NotSymmetrizable
+from .errors import NetoscError, NotSymmetrizable
 from .reporting import canonical_json, matrix_payload
 
 MAX_STEPS = 10**7
@@ -59,7 +59,6 @@ def _add_common(sub, multi_input=False):
         sub.add_argument("--input", required=True, help="edge-list file")
     sub.add_argument("--t-end", type=_nonnegative, default=10.0)
     sub.add_argument("--dt", type=_positive, default=1e-3)
-    sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -102,16 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_vector(vec, n, default):
-    if vec is None:
-        return default
-    if len(vec) != n:
-        raise DimensionMismatch(f"expected {n} components, got {len(vec)}")
-    return vec
-
-
-def _bundle_for_graph(g, tol):
-    split, sd = symmetry.spectral_decomposition(g, tol)
+def _bundle_for_graph(g):
+    split, sd = symmetry.spectral_decomposition(g)
     lam_I = symmetry.mode_interaction_matrix(split.LI, sd)
     return split, sd, sqrt_ops.build_bundle(sd, lam_I)
 
@@ -124,12 +115,12 @@ def _default_x0(n):
 
 def cmd_info(args):
     g = graph.load_edge_list(args.input)
-    A = g.adjacency()
+    A, D, _ = graph.build_matrices(g)
     return {
         "n": g.n,
         "num_edges": len(g.edges),
         "labels": list(g.labels),
-        "out_degrees": A.sum(axis=1),
+        "out_degrees": np.diag(D),
         "total_weight": float(A.sum()),
     }
 
@@ -137,7 +128,7 @@ def cmd_info(args):
 def cmd_check(args):
     g = graph.load_edge_list(args.input)
     try:
-        w = symmetry.check_symmetrizable(g, args.tol)
+        w = symmetry.check_symmetrizable(g)
         return {"symmetrizable": True, "m": w.m, "violations": []}
     except NotSymmetrizable as exc:
         violation = {"reason": exc.reason}
@@ -148,7 +139,7 @@ def cmd_check(args):
 
 def cmd_decompose(args):
     g = graph.load_edge_list(args.input)
-    split = symmetry.decompose_laplacian(g, args.tol)
+    split = symmetry.decompose_laplacian(g)
     return {
         "symmetrizable": split.is_pure_symmetrizable,
         "m": split.weights.m,
@@ -159,7 +150,7 @@ def cmd_decompose(args):
 
 def cmd_spectrum(args):
     g = graph.load_edge_list(args.input)
-    split, sd = symmetry.spectral_decomposition(g, args.tol)
+    split, sd = symmetry.spectral_decomposition(g)
     return {
         "eigenvalues": sd.eigenvalues,
         "m": sd.weights.m,
@@ -169,7 +160,7 @@ def cmd_spectrum(args):
 
 def cmd_sqrt(args):
     g = graph.load_edge_list(args.input)
-    _, _, bundle = _bundle_for_graph(g, args.tol)
+    _, _, bundle = _bundle_for_graph(g)
     report = {
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
         "h_residual": sqrt_ops.node_sqrt_residual(bundle),
@@ -190,8 +181,8 @@ def cmd_sqrt(args):
 def cmd_simulate(args):
     g = graph.load_edge_list(args.input)
     L = graph.laplacian(g)
-    x0 = _parse_vector(args.x0, g.n, _default_x0(g.n))
-    v0 = _parse_vector(args.v0, g.n, np.zeros(g.n))
+    x0 = _default_x0(g.n) if args.x0 is None else args.x0
+    v0 = np.zeros(g.n) if args.v0 is None else args.v0
     traj = dynamics.integrate_wave(L, x0, v0, t_end=args.t_end, dt=args.dt)
     if args.format == "csv":
         return traj.to_csv()
@@ -203,10 +194,8 @@ def cmd_simulate(args):
 
 def cmd_fundamental(args):
     g = graph.load_edge_list(args.input)
-    _, sd, bundle = _bundle_for_graph(g, args.tol)
-    psi0 = _parse_vector(args.psi0, g.n, symmetry.to_modes(_default_x0(g.n), sd)).astype(
-        complex
-    )
+    _, sd, bundle = _bundle_for_graph(g)
+    psi0 = symmetry.to_modes(_default_x0(g.n), sd) if args.psi0 is None else args.psi0
     traj = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
@@ -221,10 +210,8 @@ def cmd_fundamental(args):
 
 def cmd_product_form(args):
     g = graph.load_edge_list(args.input)
-    _, sd, bundle = _bundle_for_graph(g, args.tol)
-    psi0 = _parse_vector(args.psi0, g.n, symmetry.to_modes(_default_x0(g.n), sd)).astype(
-        complex
-    )
+    _, sd, bundle = _bundle_for_graph(g)
+    psi0 = symmetry.to_modes(_default_x0(g.n), sd) if args.psi0 is None else args.psi0
     traj, traj_I = dynamics.product_form_solve(
         bundle.Omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
@@ -240,8 +227,8 @@ def cmd_product_form(args):
 def cmd_doubled(args):
     g = graph.load_edge_list(args.input)
     f = doubled.sparse_factors(g)
-    x0 = _parse_vector(args.x0, g.n, _default_x0(g.n))
-    v0 = _parse_vector(args.v0, g.n, np.zeros(g.n))
+    x0 = _default_x0(g.n) if args.x0 is None else args.x0
+    v0 = np.zeros(g.n) if args.v0 is None else args.v0
     op = doubled.hat_H_structured(f)
     traj = doubled.integrate_doubled(
         op, doubled.lift_initial_conditions(f, x0, v0), t_end=args.t_end, dt=args.dt

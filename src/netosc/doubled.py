@@ -147,6 +147,8 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     d_sqrt = np.diag(f.Hd)
+    if x0.shape != d_sqrt.shape or v0.shape != d_sqrt.shape:
+        raise DimensionMismatch("initial state length does not match the graph")
     shift = 1j * v0 / d_sqrt
     return interleave(0.5 * (x0 + shift), 0.5 * (x0 - shift))
 

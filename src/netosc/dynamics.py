@@ -271,6 +271,8 @@ def degree_centrality_energy(g: WeightedDigraph) -> EnergyReport:
 def flaming_indicator(L) -> FlamingIndicator:
     """Divergence score: max |Im sqrt(lambda)| over the Laplacian spectrum."""
     L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+        raise DimensionMismatch(f"flaming_indicator needs a nonempty square L, got {L.shape}")
     try:
         eigs = np.linalg.eigvals(L)
     except np.linalg.LinAlgError as exc:

@@ -60,7 +60,9 @@ class EmptyGraph(InputError):
 
 class DegreeOverflow(InputError):
     def __init__(self, node):
-        super().__init__(f"out-degree of node {node} overflows the float range")
+        super().__init__(
+            f"node {node}: the Laplacian's Frobenius norm overflows the float range"
+        )
         self.node = node
 
 

@@ -4,14 +4,15 @@ Edge-list text format: one edge per line, ``src,dst,weight`` (comma or tab
 separated), ``#`` starts a comment, weight defaults to 1.0 and must be positive
 and finite, and there must be at least one edge.  Node labels are arbitrary
 strings remapped to dense indices in order of first appearance; the label
-table travels with the graph.
+table travels with the graph.  The (src, dst[, weight]) tuples of from_edges
+follow the same rules through the same validator.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +29,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Simple directed graph: no self-loops, no duplicate links, finite weights > 0."""
+    """Simple directed graph: no self-loops, no duplicate links, finite weights > 0.
+
+    Build it with from_edges or parse_edge_list, which enforce these rules.
+    """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for src, dst, w in self.edges:
-            if src == dst:
-                raise SelfLoop(self.labels[src])
-            if (src, dst) in seen:
-                raise DuplicateEdge(self.labels[src], self.labels[dst])
-            if not 0 < w < math.inf:
-                raise NonPositiveWeight(-1, w)
-            seen.add((src, dst))
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
@@ -68,69 +61,57 @@ class WeightedDigraph:
         return "\n".join(lines) + "\n"
 
 
-def from_edges(labeled_edges, default_weight=1.0) -> WeightedDigraph:
-    """Build a graph from (src_label, dst_label[, weight]) tuples."""
-    labels: list[str] = []
+def _build(rows) -> WeightedDigraph:
+    """Validate (line_no, raw, fields) rows and build the graph.
+
+    fields is (src, dst) or (src, dst, weight); labels become strings, and a
+    weight is anything float() accepts.  raw is what a ParseError quotes.
+    """
     index: dict[str, int] = {}
-
-    def node(label):
-        label = str(label)
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    edges = []
-    for e in labeled_edges:
-        if len(e) == 2:
-            src, dst = e
-            w = default_weight
-        else:
-            src, dst, w = e
-        edges.append((node(src), node(dst), float(w)))
-    return WeightedDigraph(n=len(labels), edges=tuple(edges), labels=tuple(labels))
-
-
-def parse_edge_list(text: str) -> WeightedDigraph:
-    """Parse edge-list text (see module docstring for the format)."""
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def node(label):
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.replace("\t", ",").split(",") if p.strip()]
-        if len(parts) not in (2, 3):
+    for line_no, raw, fields in rows:
+        if len(fields) not in (2, 3):
             raise ParseError(line_no, raw)
-        src_label, dst_label = parts[0], parts[1]
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(line_no, raw) from None
-        else:
-            w = 1.0
+        src_label, dst_label = str(fields[0]), str(fields[1])
+        try:
+            w = float(fields[2]) if len(fields) == 3 else 1.0
+        except (TypeError, ValueError):
+            raise ParseError(line_no, raw) from None
         if src_label == dst_label:
             raise SelfLoop(src_label)
         if not 0 < w < math.inf:
             raise NonPositiveWeight(line_no, w)
-        src, dst = node(src_label), node(dst_label)
+        src = index.setdefault(src_label, len(index))
+        dst = index.setdefault(dst_label, len(index))
         if (src, dst) in seen:
             raise DuplicateEdge(src_label, dst_label)
         seen.add((src, dst))
         edges.append((src, dst, w))
     if not edges:
         raise EmptyGraph()
-    return WeightedDigraph(n=len(labels), edges=tuple(edges), labels=tuple(labels))
+    return WeightedDigraph(n=len(index), edges=tuple(edges), labels=tuple(index))
+
+
+def from_edges(labeled_edges) -> WeightedDigraph:
+    """Build a graph from (src_label, dst_label[, weight]) tuples.
+
+    Tuples follow the edge-list rules; the k-th tuple counts as line k.
+    """
+    return _build((k, e, e) for k, e in enumerate(labeled_edges, start=1))
+
+
+def parse_edge_list(text: str) -> WeightedDigraph:
+    """Parse edge-list text (see module docstring for the format)."""
+
+    def rows():
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                parts = [p.strip() for p in line.replace("\t", ",").split(",")]
+                yield line_no, raw, [p for p in parts if p]
+
+    return _build(rows())
 
 
 def load_edge_list(path) -> WeightedDigraph:
@@ -143,11 +124,16 @@ def load_edge_list(path) -> WeightedDigraph:
 
 
 def build_matrices(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (A, D, L) with L = D - A and D the out-degree diagonal."""
+    """Return (A, D, L) with L = D - A and D the out-degree diagonal.
+
+    ||L||_F must be finite, which also bounds every degree; DegreeOverflow
+    names the node whose row first takes the running sum of squares past it.
+    """
     A = g.adjacency()
     with np.errstate(over="ignore"):
         d = A.sum(axis=1)
-    overflow = np.flatnonzero(np.isinf(d))
+        norm_sq = np.cumsum(d * d + np.einsum("ij,ij->i", A, A))
+    overflow = np.flatnonzero(np.isinf(norm_sq))
     if len(overflow):
         raise DegreeOverflow(g.labels[overflow[0]])
     D = np.diag(d)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ModelViolation, NumericalFailure, SqrtUndefined
+from .errors import DimensionMismatch, ModelViolation, NumericalFailure, SqrtUndefined
 from .symmetry import SpectralDecomposition
 
 ZERO_EIG_REL_TOL = 1e-10
@@ -32,16 +32,20 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     checks and the root.  Requires no eigenvalue on the open negative real
     axis and semisimple zero eigenvalues; raises SqrtUndefined otherwise.  The
     root of the nonsingular block is built by halves joined by Sylvester
-    solves.  Real input only: a nonzero imaginary part raises ModelViolation.
+    solves.  Real input only: a nonzero imaginary part raises ModelViolation,
+    and a non-square shape DimensionMismatch.  Tolerances are relative to
+    ||A||_F; the zero matrix is its own root.
     """
     mat = np.asarray(mat)
     if np.iscomplexobj(mat) and np.any(mat.imag):
         raise ModelViolation("principal_sqrt takes a real matrix")
     mat = np.asarray(np.real(mat), dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"principal_sqrt takes a square matrix, got {mat.shape}")
     n = mat.shape[0]
-    if n == 0:
+    scale = np.linalg.norm(mat, "fro")
+    if scale == 0:
         return mat.copy()
-    scale = max(1.0, np.linalg.norm(mat, "fro"))
     zero_tol = ZERO_EIG_REL_TOL * scale
     try:
         # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
@@ -143,7 +147,7 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBund
     """Assemble the Omega/H operator family from an eigensystem and Lambda_I."""
     lam = sd.eigenvalues
     # ||S0||_F = ||lam||_2 since S0 = P diag(lam) P^T with P orthogonal
-    if lam.min() < -ZERO_EIG_REL_TOL * max(1.0, np.linalg.norm(lam)):
+    if lam.min() < -ZERO_EIG_REL_TOL * np.linalg.norm(lam):
         raise SqrtUndefined(lam.min(), "negative symmetrizable eigenvalue")
     Lambda0 = np.diag(lam.clip(min=0.0))
     LambdaI = np.asarray(LambdaI)
@@ -179,15 +183,16 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBund
     )
 
 
+def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:
+    """||root^2 - target||_F / ||target||_F, the plain norm when target = 0."""
+    return np.linalg.norm(root @ root - target, "fro") / (np.linalg.norm(target, "fro") or 1.0)
+
+
 def sqrt_residual(bundle: OperatorBundle) -> float:
     """Relative Frobenius residual of Omega^2 = Lambda."""
-    return np.linalg.norm(bundle.Omega @ bundle.Omega - bundle.Lambda, "fro") / max(
-        1.0, np.linalg.norm(bundle.Lambda, "fro")
-    )
+    return _relative_residual(bundle.Omega, bundle.Lambda)
 
 
 def node_sqrt_residual(bundle: OperatorBundle) -> float:
     """Relative Frobenius residual of H^2 = L."""
-    return np.linalg.norm(bundle.H @ bundle.H - bundle.L, "fro") / max(
-        1.0, np.linalg.norm(bundle.L, "fro")
-    )
+    return _relative_residual(bundle.H, bundle.L)

@@ -58,12 +58,14 @@ def _reciprocal_weight_table(g: WeightedDigraph) -> dict[tuple[int, int], float]
     return {(s, d): w for s, d, w in g.edges}
 
 
-def check_symmetrizable(g: WeightedDigraph, tol: float = DEFAULT_TOL) -> SymmetrizationWeights:
+def check_symmetrizable(g: WeightedDigraph) -> SymmetrizationWeights:
     """Find symmetrizing weights m, or raise NotSymmetrizable.
 
     m is propagated over a spanning forest of the reciprocal-link structure
     (root weight 1), then every edge is checked for the detailed-balance
-    residual |m_i w_ij - m_j w_ji| <= tol * max(m_i w_ij, m_j w_ji).
+    residual |m_i w_ij - m_j w_ji| <= DEFAULT_TOL * max(m_i w_ij, m_j w_ji).
+    That bounds |S0_ij - S0_ji| by DEFAULT_TOL * max|S0|, the test symmetrize
+    applies.  An m outside the float range raises NumericalFailure.
     """
     w = _reciprocal_weight_table(g)
     for (s, d), _ in w.items():
@@ -75,25 +77,28 @@ def check_symmetrizable(g: WeightedDigraph, tol: float = DEFAULT_TOL) -> Symmetr
         adj[s].append(d)
 
     m = np.full(g.n, np.nan)
-    for root in range(g.n):
-        if not np.isnan(m[root]):
-            continue
-        m[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if np.isnan(m[j]):
-                    # detailed balance forces m_j = m_i w_ij / w_ji
-                    m[j] = m[i] * w[(i, j)] / w[(j, i)]
-                    stack.append(j)
+    with np.errstate(all="ignore"):
+        for root in range(g.n):
+            if not np.isnan(m[root]):
+                continue
+            m[root] = 1.0
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j in adj[i]:
+                    if np.isnan(m[j]):
+                        # detailed balance forces m_j = m_i w_ij / w_ji
+                        m[j] = m[i] * w[(i, j)] / w[(j, i)]
+                        stack.append(j)
 
-    for (i, j), wij in w.items():
-        lhs, rhs = m[i] * wij, m[j] * w[(j, i)]
-        if abs(lhs - rhs) > tol * max(lhs, rhs):
-            raise NotSymmetrizable("cycle_inconsistent", edge=(g.labels[i], g.labels[j]))
+        for (i, j), wij in w.items():
+            lhs, rhs = m[i] * wij, m[j] * w[(j, i)]
+            if abs(lhs - rhs) > DEFAULT_TOL * max(lhs, rhs):
+                raise NotSymmetrizable("cycle_inconsistent", edge=(g.labels[i], g.labels[j]))
 
-    m /= m.min()
+        m /= m.min()
+    if not np.all(np.isfinite(m)):
+        raise NumericalFailure("symmetrizing weights m fall outside the float range")
     return SymmetrizationWeights(m=m)
 
 
@@ -107,7 +112,7 @@ def null_weight_cross_check(g: WeightedDigraph) -> np.ndarray:
     return m / m.min()
 
 
-def decompose_laplacian(g: WeightedDigraph, tol: float = DEFAULT_TOL) -> LaplacianSplit:
+def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
     """Split L into a symmetrizable part L0 and a one-way remainder LI.
 
     Symmetrizable input keeps L whole (LI = 0).  Otherwise m is fixed to 1
@@ -116,7 +121,7 @@ def decompose_laplacian(g: WeightedDigraph, tol: float = DEFAULT_TOL) -> Laplaci
     """
     _, _, L = build_matrices(g)
     try:
-        weights = check_symmetrizable(g, tol)
+        weights = check_symmetrizable(g)
         return LaplacianSplit(L0=L, LI=np.zeros_like(L), weights=weights)
     except NotSymmetrizable:
         pass
@@ -141,7 +146,10 @@ def _fix_signs(P: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomposition:
-    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (symmetric by construction)."""
+    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (symmetric by construction).
+
+    An asymmetry above DEFAULT_TOL * max|S0| raises NumericalFailure.
+    """
     n = L0.shape[0]
     if not np.any(L0):
         # empty symmetrizable part: any orthonormal basis works, pick identity
@@ -150,7 +158,7 @@ def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomp
         )
     S0 = weights.matrix_sqrt() @ L0 @ weights.matrix_inv_sqrt()
     asym = np.abs(S0 - S0.T).max()
-    if asym > 1e-10 * max(1.0, np.abs(S0).max()):
+    if asym > DEFAULT_TOL * np.abs(S0).max():
         raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
     S0 = 0.5 * (S0 + S0.T)
     try:
@@ -160,9 +168,9 @@ def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomp
     return SpectralDecomposition(S0=S0, eigenvalues=lam, P=_fix_signs(P), weights=weights)
 
 
-def spectral_decomposition(g: WeightedDigraph, tol: float = DEFAULT_TOL):
+def spectral_decomposition(g: WeightedDigraph):
     """Convenience: split the graph and eigendecompose its symmetrizable part."""
-    split = decompose_laplacian(g, tol)
+    split = decompose_laplacian(g)
     return split, symmetrize(split.L0, split.weights)
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netosc import from_edges
 from netosc.cli import COMMANDS, run
@@ -280,3 +284,148 @@ def test_sqrt_on_heavy_symmetric_graphs(graph_file, rng, capsys):
         assert code == 0
         assert report["omega_residual"] <= 1e-8
         assert report["h_residual"] <= 1e-7
+
+
+def test_tol_flag_is_usage_error(graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--input", graph_file(sym2()), "--tol", "1e-6"])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "Usage"
+
+
+@pytest.mark.parametrize("closure", [5e-10, 9e-10])
+def test_nearly_balanced_triangle_reaches_the_spectrum(graph_file, capsys, closure):
+    # the cycle closes within the detailed-balance tolerance, so every command
+    # that needs the symmetrized form accepts what check accepts
+    g = from_edges(
+        [("a", "b", 2.0), ("b", "a", 1.0), ("b", "c", 3.0), ("c", "b", 1.0),
+         ("c", "a", 1.0), ("a", "c", 6.0 * (1 + closure))]
+    )
+    path = graph_file(g)
+    code, report = run_json(capsys, ["check", "--input", path])
+    assert code == 0 and report["symmetrizable"] is True
+    code, report = run_json(capsys, ["spectrum", "--input", path])
+    assert code == 0 and report["eigenvalues"][0] == pytest.approx(0.0, abs=1e-9)
+    code, report = run_json(capsys, ["sqrt", "--input", path])
+    assert code == 0 and report["omega_residual"] <= 1e-8 and report["h_residual"] <= 1e-7
+    code, report = run_json(capsys, ["centrality", "--input", path])
+    assert code == 0
+    out_degrees = [8.0 + 6.0 * closure, 4.0, 2.0]
+    assert np.allclose(report["per_node"], np.array(out_degrees) / 2, rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("command", "text", "error", "code"),
+    [
+        ("sqrt", "a,b,1e308\n", "DegreeOverflow", 2),
+        ("info", "a,b,1e308\na,c,1e308\n", "DegreeOverflow", 2),
+        ("simulate", "n0,n1,1e200\n", "DegreeOverflow", 2),
+        ("fundamental", "n0,n1,1e154\n", "DegreeOverflow", 2),
+        ("check", "n1,n0,1\nn0,n1,1e-320\n", "NumericalFailure", 3),
+        ("spectrum", "n1,n0,1\nn0,n1,1e-320\n", "NumericalFailure", 3),
+    ],
+)
+def test_out_of_range_graph_fails_with_one_line(tmp_path, capsys, command, text, error, code):
+    p = tmp_path / "g.csv"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--input", str(p), "--t-end", "0.01"]) == code
+    assert single_error_line(capsys)["error"] == error
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("simulate", "--v0"), ("doubled", "--v0"), ("doubled", "--x0"), ("fundamental", "--psi0")],
+)
+def test_short_initial_vector_is_model_violation(graph_file, capsys, command, flag):
+    code = run([command, "--input", graph_file(path3()), "--t-end", "0.01", flag, "1"])
+    assert code == 4
+    assert single_error_line(capsys)["error"] == "DimensionMismatch"
+
+
+# CLI fuzz: random edge-list text through every subcommand
+FUZZ_LABELS = ["a", "b", "c", "n0", "n1"]
+VALID_WEIGHTS = ["1e-320", "1e-12", "1", "1e154", "1e200", "1e308"]
+FUZZ_WEIGHTS = ["0", "-1", "nan", "inf", "x"] + VALID_WEIGHTS
+
+
+@st.composite
+def edge_line(draw, src, dst, weights):
+    sep = draw(st.sampled_from([",", "\t", ", "]))
+    fields = [src, dst]
+    weight = draw(st.none() | st.sampled_from(weights))
+    if weight is not None:
+        fields.append(weight)
+    comment = draw(st.sampled_from(["", "  # note"]))
+    return sep.join(fields) + comment
+
+
+FILLER = st.sampled_from(["", "# comment", "   "])
+
+
+@st.composite
+def valid_graph_text(draw):
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(FUZZ_LABELS), st.sampled_from(FUZZ_LABELS)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    lines = []
+    for src, dst in pairs:
+        lines += draw(st.lists(FILLER, max_size=1))
+        lines.append(draw(edge_line(src, dst, VALID_WEIGHTS)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mixed_graph_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "filler", "junk"]))
+        if kind == "edge":
+            src, dst = draw(st.sampled_from(FUZZ_LABELS)), draw(st.sampled_from(FUZZ_LABELS))
+            lines.append(draw(edge_line(src, dst, FUZZ_WEIGHTS)))
+        elif kind == "filler":
+            lines.append(draw(FILLER))
+        else:
+            lines.append(draw(st.sampled_from(["a", "a,b,1,2", "a\t\tb"])))
+    return "\n".join(lines)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_cli_contract(path, text):
+    path.write_text(text)
+    for command in sorted(COMMANDS):
+        code, out, err = run_captured([command, "--input", str(path), "--t-end", "0.01"])
+        assert code in range(5), (command, text)
+        if code:
+            assert out == "", (command, text)
+            (line,) = err.splitlines()
+            assert "error" in json.loads(line), (command, text)
+        else:
+            assert err == "", (command, text)
+            assert "NaN" not in out and "Infinity" not in out, (command, text)
+
+
+@given(text=valid_graph_text())
+def test_cli_contract_on_valid_graphs(tmp_path_factory, text):
+    assert_cli_contract(tmp_path_factory.getbasetemp() / "fuzz_valid.csv", text)
+
+
+@given(text=mixed_graph_text())
+def test_cli_contract_on_mixed_text(tmp_path_factory, text):
+    assert_cli_contract(tmp_path_factory.getbasetemp() / "fuzz_mixed.csv", text)

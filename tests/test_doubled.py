@@ -23,7 +23,7 @@ from netosc.doubled import (
     sparsity_match,
 )
 from netosc.dynamics import Trajectory, second_order_residual
-from netosc.errors import ZeroDegreeNode
+from netosc.errors import DimensionMismatch, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
 from conftest import k3, path5, random_digraph, star4, sym2
@@ -250,3 +250,9 @@ def test_infeasibility_witness_report():
     assert report["Y_squared_is_identity"]
     assert not report["exact_condition_feasible"]
     assert report["relaxed_condition_feasible"]
+
+
+def test_lift_rejects_short_velocity():
+    f = sparse_factors(star4())
+    with pytest.raises(DimensionMismatch):
+        lift_initial_conditions(f, np.zeros(4), np.ones(1))

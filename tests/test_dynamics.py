@@ -18,7 +18,7 @@ from netosc import (
     spectral_decomposition,
     superpose,
 )
-from netosc.errors import GridMismatch, NotSymmetrizable
+from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable
 from netosc.dynamics import (
     OVERFLOW_LIMIT,
     _propagate,
@@ -325,3 +325,9 @@ def test_product_form_matches_stepwise_rk4(rng):
         want, want_I = product_form_reference(b.Omega0, b.OmegaI, psi0, sign, 2.0, 1e-3)
         assert np.abs(traj.states - want).max() <= 1e-10
         assert np.abs(traj_I.states - want_I).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+def test_flaming_rejects_empty_or_non_square(shape):
+    with pytest.raises(DimensionMismatch):
+        flaming_indicator(np.zeros(shape))

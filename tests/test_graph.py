@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netosc import build_matrices, from_edges
-from netosc.errors import DuplicateEdge, NonPositiveWeight, ParseError, SelfLoop
+from netosc.errors import (
+    DuplicateEdge,
+    EmptyGraph,
+    InputError,
+    NonPositiveWeight,
+    ParseError,
+    SelfLoop,
+)
 from netosc.graph import load_edge_list, parse_edge_list
 
 from conftest import random_digraph, ring3
@@ -106,3 +115,49 @@ def test_json_export_stable():
     g = from_edges([("b", "a", 2.0), ("a", "b", 1.0)])
     assert g.to_json() == g.to_json()
     assert '"n": 2' in g.to_json()
+
+
+def test_from_edges_empty():
+    with pytest.raises(EmptyGraph):
+        from_edges([])
+
+
+@pytest.mark.parametrize(
+    ("edges", "error", "line_no"),
+    [
+        ([("a", "b"), ("b",)], ParseError, 2),
+        ([("a", "b", "x")], ParseError, 1),
+        ([("a", "b", None)], ParseError, 1),
+        ([("a", "b"), ("b", "a", 1.0, 2.0)], ParseError, 2),
+        ([("a", "b"), ("b", "c"), ("c", "a", -1.0)], NonPositiveWeight, 3),
+    ],
+)
+def test_from_edges_errors_carry_the_tuple_number(edges, error, line_no):
+    with pytest.raises(error) as exc:
+        from_edges(edges)
+    assert exc.value.line_no == line_no
+
+
+ROW_WEIGHTS = [0.0, -1.0, float("nan"), float("inf"), "x", 1e-320, 1e-12, 1.0, 2.5, 1e308]
+
+
+@st.composite
+def edge_row(draw):
+    """A 1- to 4-field row: two labels, then weights, as tuple or text line."""
+    labels = st.sampled_from(["a", "b", "c"])
+    size = draw(st.integers(1, 4))
+    fields = [draw(labels) for _ in range(min(size, 2))]
+    return tuple(fields + [draw(st.sampled_from(ROW_WEIGHTS)) for _ in range(size - 2)])
+
+
+@given(rows=st.lists(edge_row(), max_size=6))
+def test_tuples_and_text_follow_one_rule_set(rows):
+    text = "".join(",".join(str(f) for f in row) + "\n" for row in rows)
+    try:
+        want = parse_edge_list(text)
+    except InputError as exc:
+        with pytest.raises(type(exc)) as got:
+            from_edges(rows)
+        assert getattr(got.value, "line_no", None) == getattr(exc, "line_no", None)
+    else:
+        assert from_edges(rows) == want

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from netosc import build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
-from netosc import spectral_decomposition, sqrt_residual
-from netosc.errors import NetoscError, SqrtUndefined
+from netosc import from_edges, spectral_decomposition, sqrt_residual
+from netosc.errors import DimensionMismatch, NetoscError, SqrtUndefined
 from netosc.sqrt_ops import _quasi_triangular_sqrt, node_sqrt_residual
 
 from conftest import path5, random_digraph, random_symmetric_graph, ring3, sym2
@@ -241,3 +241,22 @@ def test_bundle_is_real(rng):
     b = bundle_for(random_digraph(rng, 12))
     for name in ("Lambda", "Omega", "OmegaI", "H", "HI", "L"):
         assert getattr(b, name).dtype == np.float64, name
+
+
+def test_principal_sqrt_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        principal_sqrt(np.ones((2, 3)))
+
+
+def bundle_of(g):
+    split, sd = spectral_decomposition(g)
+    return build_bundle(sd, mode_interaction_matrix(split.LI, sd))
+
+
+def test_sqrt_tolerances_are_relative_below_norm_one():
+    # weights of 1e-12 leave every eigenvalue below an absolute 1e-10 floor
+    tiny = from_edges([("1", "2", 1e-12), ("2", "3", 1e-12), ("3", "1", 1e-12)])
+    base, small = bundle_of(ring3()), bundle_of(tiny)
+    assert np.allclose(small.Omega, 1e-6 * base.Omega, rtol=1e-9, atol=0)
+    assert sqrt_residual(small) <= 1e-12
+    assert node_sqrt_residual(small) <= 1e-12

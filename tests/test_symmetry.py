@@ -29,19 +29,19 @@ def asym2():
 
 
 def test_symmetric_pair_weights():
-    w = check_symmetrizable(sym2(), 1e-9)
+    w = check_symmetrizable(sym2())
     assert np.allclose(w.m, [1.0, 1.0])
 
 
 def test_unbalanced_pair_weights():
     # detailed balance forces m2 = m1 * w12 / w21 = 2
-    w = check_symmetrizable(asym2(), 1e-9)
+    w = check_symmetrizable(asym2())
     assert np.allclose(w.m, [1.0, 2.0])
 
 
 def test_one_way_edge_not_symmetrizable():
     with pytest.raises(NotSymmetrizable) as exc:
-        check_symmetrizable(from_edges([("1", "2", 1.0)]), 1e-9)
+        check_symmetrizable(from_edges([("1", "2", 1.0)]))
     assert exc.value.reason == "one_way_edge"
 
 
@@ -53,13 +53,13 @@ def test_cycle_inconsistent_detected():
         ("c", "a", 2.0), ("a", "c", 1.0),
     ]
     with pytest.raises(NotSymmetrizable) as exc:
-        check_symmetrizable(from_edges(edges), 1e-9)
+        check_symmetrizable(from_edges(edges))
     assert exc.value.reason == "cycle_inconsistent"
 
 
 def test_null_vector_cross_check(rng):
     g, m = random_detailed_balance_graph(rng, 9, return_m=True)
-    w = check_symmetrizable(g, 1e-9)
+    w = check_symmetrizable(g)
     assert np.allclose(w.m, m, rtol=1e-9)
     assert np.allclose(null_weight_cross_check(g), w.m, rtol=1e-6)
 
@@ -118,7 +118,7 @@ def test_symmetrize_zero_matrix_uses_identity_basis():
 
 def test_symmetrize_weighted_pair_hand_values():
     g = asym2()
-    w = check_symmetrizable(g, 1e-9)
+    w = check_symmetrizable(g)
     _, _, L = build_matrices(g)
     sd = symmetrize(L, w)
     expected_S0 = np.array([[2.0, -np.sqrt(2.0)], [-np.sqrt(2.0), 1.0]])
