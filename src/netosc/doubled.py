@@ -4,7 +4,8 @@ The state interleaves the two branch solutions, (x+_1, x-_1, x+_2, x-_2, ...).
 The structured operator combines a diagonal factor sqrt(D) with an adjacency
 factor tensored against a nilpotent 2x2 block, so its off-diagonal blocks
 appear exactly where links exist; summing the branches recovers every
-solution of the second-order dynamics.
+solution of the second-order dynamics.  Runs step the real coordinates
+s = (x+ + x-)/sqrt2 and w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]].
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import Trajectory, _grid, _propagate
-from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
+from .errors import DimensionMismatch, ModelViolation, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
 E2 = np.eye(2)
@@ -25,21 +26,11 @@ SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def interleave(x_plus: np.ndarray, x_minus: np.ndarray) -> np.ndarray:
-    """(x+, x-) -> (x+_1, x-_1, x+_2, x-_2, ...)."""
+    """(x+, x-) -> (x+_1, x-_1, x+_2, x-_2, ...), row by row for stacked rows."""
     if x_plus.shape != x_minus.shape:
         raise DimensionMismatch("branch vectors differ in length")
-    out = np.empty(2 * len(x_plus), dtype=np.result_type(x_plus, x_minus, float))
-    out[0::2] = x_plus
-    out[1::2] = x_minus
-    return out
-
-
-def extract_plus(x_hat: np.ndarray) -> np.ndarray:
-    return x_hat[0::2]
-
-
-def extract_minus(x_hat: np.ndarray) -> np.ndarray:
-    return x_hat[1::2]
+    pairs = np.stack([x_plus, x_minus], axis=-1, dtype=np.result_type(x_plus, x_minus, float))
+    return pairs.reshape(x_plus.shape[:-1] + (2 * x_plus.shape[-1],))
 
 
 def branch_sum(x_hat) -> np.ndarray:
@@ -61,11 +52,6 @@ class DoubledOperator:
     matrix: np.ndarray
     kind: str                    # "spectral" or "structured"
     factors: dict
-
-
-def kron_laplacian(L: np.ndarray) -> np.ndarray:
-    """L_hat = L (x) E, block (i, j) equal to L[i, j] I2."""
-    return np.kron(np.asarray(L), E2)
 
 
 def hat_H_spectral(H: np.ndarray) -> DoubledOperator:
@@ -123,18 +109,32 @@ def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
     return f.Hd @ f.Hd - f.Hd @ f.Ha
 
 
-def integrate_doubled(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
-    """Propagate i dx_hat/dt = H_hat x_hat with the exact one-step propagator."""
+def sum_difference_run(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+    """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt);
+    an x_hat0 that is not lifted takes a second run on the imaginary part of (s, w)."""
     x = np.asarray(x_hat0, dtype=complex)
     if x.shape != (op.matrix.shape[0],):
         raise DimensionMismatch("doubled state length does not match operator")
+    if op.kind != "structured":
+        raise ModelViolation("only the structured operator is integrated")
+    Hd, Ha = op.factors["Hd"], op.factors["Ha"]
+    step = scipy.linalg.expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
+    y0 = np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
     times = _grid(t_end, dt)
-    states = _propagate(scipy.linalg.expm(-1j * op.matrix * dt), x, times)
+    states = _propagate(step, y0.real, times)
+    if y0.imag.any():
+        imag = _propagate(step, y0.imag, times)
+        states = states[: len(imag)] + 1j * imag[: len(states)]
     if len(states) < len(times):
         raise NumericalFailure(f"doubled state overflow at t={times[len(states)]}")
-    return Trajectory(
-        times=times, states=states, meta={"integrator": "expm", "dt": dt, "kind": op.kind}
-    )
+    return Trajectory(times, states, {"integrator": "expm", "dt": dt, "kind": op.kind})
+
+
+def integrate_doubled(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+    """Propagate i dx_hat/dt = H_hat x_hat; states interleave x+- = (s +- i w)/sqrt2."""
+    run = sum_difference_run(op, x_hat0, t_end, dt)
+    s, w = np.hsplit(run.states / np.sqrt(2.0), 2)
+    return Trajectory(times=run.times, states=interleave(s + 1j * w, s - 1j * w), meta=run.meta)
 
 
 def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:

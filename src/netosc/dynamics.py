@@ -207,7 +207,7 @@ def product_form_solve(Omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
 
 def second_order_residual(traj: Trajectory, Lambda) -> float:
     """Max relative centered-difference residual of psi'' = -Lambda psi."""
-    Lambda = np.asarray(Lambda, dtype=complex)
+    Lambda = np.asarray(Lambda)
     psi = traj.states
     dt = traj.dt
     acc = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dt**2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,8 @@ def _build(rows) -> WeightedDigraph:
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw, fields in rows:
-        if len(fields) not in (2, 3):
+        is_row = isinstance(fields, Sequence) and not isinstance(fields, (str, bytes))
+        if not is_row or len(fields) not in (2, 3):
             raise ParseError(line_no, raw)
         src_label, dst_label = str(fields[0]), str(fields[1])
         try:

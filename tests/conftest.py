@@ -102,6 +102,19 @@ def random_symmetric_graph(rng, n, weighted=False):
     return from_edges(edges)
 
 
+def kron_laplacian(L):
+    """L_hat = L (x) E, block (i, j) equal to L[i, j] I2."""
+    return np.kron(np.asarray(L), np.eye(2))
+
+
+def extract_plus(x_hat):
+    return x_hat[0::2]
+
+
+def extract_minus(x_hat):
+    return x_hat[1::2]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -27,7 +27,6 @@ from netosc.doubled import (
     branch_sum,
     hat_H_structured,
     integrate_doubled,
-    kron_laplacian,
     lift_initial_conditions,
     projection_identity_check,
     sparse_factors,
@@ -44,6 +43,7 @@ from netosc.sqrt_ops import node_sqrt_residual, sqrt_residual
 
 from conftest import (
     k3,
+    kron_laplacian,
     path5,
     random_detailed_balance_graph,
     random_digraph,

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netosc import from_edges
-from netosc.cli import COMMANDS, run
+from netosc.cli import COMMANDS, build_parser, run
 
 from conftest import path3, random_symmetric_graph, ring3, star4, sym2
 
@@ -161,6 +161,22 @@ def test_doubled_report(graph_file, capsys):
     assert code == 0
     assert report["sparsity_match"] is True
     assert report["theorem1_gap"] <= 1e-5
+
+
+def test_doubled_branch_sum_is_real(graph_file, capsys):
+    code, report = run_json(
+        capsys, ["doubled", "--input", graph_file(ring3()), "--v0", "0,1,0.5", "--t-end", "1"]
+    )
+    assert code == 0
+    assert [im for _, im in report["final_branch_sum"]] == [0.0, 0.0, 0.0]
+
+
+def test_repeated_runs_share_no_parser_state(graph_file, capsys):
+    path = graph_file(ring3())
+    first = run_json(capsys, ["simulate", "--input", path, "--t-end", "1"])
+    run_json(capsys, ["simulate", "--input", path, "--t-end", "2", "--x0", "0,1,0"])
+    assert run_json(capsys, ["simulate", "--input", path, "--t-end", "1"]) == first
+    assert build_parser() is build_parser()
 
 
 def test_info_and_spectrum(graph_file, capsys):

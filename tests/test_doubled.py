@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netosc import build_matrices, from_edges, integrate_wave
 from netosc.doubled import (
     NILPOTENT,
     SIGN2,
     branch_sum,
-    extract_minus,
-    extract_plus,
     hat_H_spectral,
     hat_H_squared_expansion,
     hat_H_structured,
     infeasibility_witness,
     integrate_doubled,
     interleave,
-    kron_laplacian,
     laplacian_from_factors,
     lift_initial_conditions,
     offdiag_block_pattern,
@@ -22,11 +22,20 @@ from netosc.doubled import (
     sparse_factors,
     sparsity_match,
 )
-from netosc.dynamics import Trajectory, second_order_residual
-from netosc.errors import DimensionMismatch, ZeroDegreeNode
+from netosc.dynamics import Trajectory, _grid, _propagate, second_order_residual
+from netosc.errors import DimensionMismatch, ModelViolation, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
-from conftest import k3, path5, random_digraph, star4, sym2
+from conftest import (
+    extract_minus,
+    extract_plus,
+    k3,
+    kron_laplacian,
+    path5,
+    random_digraph,
+    star4,
+    sym2,
+)
 
 
 def random_positive_outdegree_digraph(rng, n):
@@ -256,3 +265,81 @@ def test_lift_rejects_short_velocity():
     f = sparse_factors(star4())
     with pytest.raises(DimensionMismatch):
         lift_initial_conditions(f, np.zeros(4), np.ones(1))
+
+
+def literal_complex_run(op, x_hat0, t_end, dt):
+    """The doubled run as the equation states it: complex x_hat stepped by expm(-i H_hat dt)."""
+    step = scipy.linalg.expm(-1j * op.matrix * dt)
+    return _propagate(step, np.asarray(x_hat0, dtype=complex), _grid(t_end, dt))
+
+
+def wide_weight_digraph(seed, n, low=-6.0, high=6.0):
+    """random_digraph's links with weights 10^u, u uniform in [low, high]."""
+    rng = np.random.default_rng(seed)
+    base = random_digraph(rng, n)
+    weights = 10.0 ** rng.uniform(low, high, size=len(base.edges))
+    return from_edges(
+        [(base.labels[s], base.labels[d], w) for (s, d, _), w in zip(base.edges, weights)]
+    )
+
+
+def sum_difference_rotation(n):
+    """Orthogonal R with R x_hat = (s, d), s = (x+ + x-)/sqrt2, d = (x+ - x-)/sqrt2."""
+    eye = np.eye(n)
+    return np.vstack([np.kron(eye, [1.0, 1.0]), np.kron(eye, [1.0, -1.0])]) / np.sqrt(2.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    lifted=st.booleans(),
+)
+def test_integrate_doubled_matches_the_literal_complex_run(seed, n, lifted):
+    rng = np.random.default_rng(seed)
+    g = random_digraph(rng, n)
+    f = sparse_factors(g)
+    op = hat_H_structured(f)
+    if lifted:
+        x_hat0 = lift_initial_conditions(f, rng.standard_normal(n), rng.standard_normal(n))
+    else:
+        x_hat0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    traj = integrate_doubled(op, x_hat0, t_end=2.0, dt=1e-2)
+    oracle = literal_complex_run(op, x_hat0, 2.0, 1e-2)
+    assert traj.states.shape == oracle.shape
+    err = np.linalg.norm(traj.states - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+    assert err.max() <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60))
+def test_rotated_structured_operator_is_block_off_diagonal(seed, n):
+    g = wide_weight_digraph(seed, n)
+    f = sparse_factors(g)
+    R = sum_difference_rotation(n)
+    rotated = R @ hat_H_structured(f).matrix @ R.T
+    zero = np.zeros((n, n))
+    want = np.block([[zero, f.Hd], [f.Hd - f.Ha, zero]])
+    assert np.linalg.norm(rotated - want) <= 1e-14 * np.linalg.norm(want)
+
+    L = build_matrices(g)[2]
+    d_sqrt = np.diag(f.Hd)
+    similar = L * d_sqrt[None, :] / d_sqrt[:, None]          # Hd^-1 L Hd
+    square = rotated @ rotated
+    assert np.linalg.norm(square[:n, :n] - L) <= 1e-14 * np.linalg.norm(L)
+    assert np.linalg.norm(square[n:, n:] - similar) <= 1e-14 * np.linalg.norm(similar)
+    off = np.linalg.norm(square[:n, n:]) + np.linalg.norm(square[n:, :n])
+    assert off <= 1e-14 * np.linalg.norm(L)
+
+
+def test_interleave_stacked_rows(rng):
+    xp = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    xm = rng.standard_normal((3, 4))
+    stacked = interleave(xp, xm)
+    assert stacked.shape == (3, 8)
+    for row, p, m in zip(stacked, xp, xm):
+        assert np.array_equal(row, interleave(p, m))
+
+
+def test_spectral_operator_is_not_integrated():
+    op = hat_H_spectral(np.eye(2))
+    with pytest.raises(ModelViolation):
+        integrate_doubled(op, np.zeros(4), t_end=0.1, dt=1e-2)

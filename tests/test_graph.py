@@ -138,6 +138,16 @@ def test_from_edges_errors_carry_the_tuple_number(edges, error, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    ("edges", "line_no"),
+    [([5], 1), (["ab"], 1), ([b"ab"], 1), ([("a", "b"), "ba"], 2), ([("a", "b"), None], 2)],
+)
+def test_from_edges_rejects_rows_that_are_not_field_sequences(edges, line_no):
+    with pytest.raises(ParseError) as exc:
+        from_edges(edges)
+    assert exc.value.line_no == line_no
+
+
 ROW_WEIGHTS = [0.0, -1.0, float("nan"), float("inf"), "x", 1e-320, 1e-12, 1.0, 2.5, 1e308]
 
 
