@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import doubled, dynamics, graph, sqrt_ops, symmetry
+from . import _blas, doubled, dynamics, graph, sqrt_ops, symmetry
 from .errors import NetoscError, NotSymmetrizable
 from .reporting import canonical_json, matrix_payload
 
@@ -240,7 +240,7 @@ def cmd_doubled(args):
     wave = dynamics.integrate_wave(graph.laplacian(g), x0, v0, t_end=args.t_end, dt=args.dt)
     gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
     return {
-        "sparsity_match": doubled.sparsity_match(f, g),
+        "sparsity_match": doubled.sparsity_match(op, g),
         "theorem1_gap": gap,
         "final_branch_sum": s[-1].astype(complex),
     }
@@ -281,10 +281,10 @@ def verify_graph(path, args) -> dict:
     eq22 = dynamics.second_order_residual(dynamics.Trajectory(times=run.times, states=s), L)
     wave = dynamics.integrate_wave(L, x0, v0, t_end=args.t_end, dt=args.dt)
     theorem1_gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
-    eq26 = doubled.projection_identity_check(f, rng.standard_normal((100, 2 * g.n)))
+    eq26 = doubled.projection_identity_check(op, rng.standard_normal((100, 2 * g.n)))
     return {
         "input": os.path.basename(path),
-        "sparsity_match": doubled.sparsity_match(f, g),
+        "sparsity_match": doubled.sparsity_match(op, g),
         "eq19_residual": eq19,
         "eq22_residual": eq22,
         "eq26_residual": eq26,
@@ -318,7 +318,8 @@ def run(argv) -> int:
     if args.t_end / args.dt > MAX_STEPS:
         parser.error(f"--t-end / --dt asks for more than {MAX_STEPS} time steps")
     try:
-        result = COMMANDS[args.command](args)
+        with _blas.single_threaded():
+            result = COMMANDS[args.command](args)
     except NetoscError as exc:
         sys.stderr.write(canonical_json(exc.payload()) + "\n")
         return exc.exit_code

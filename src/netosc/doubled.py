@@ -84,9 +84,9 @@ def offdiag_block_pattern(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return pattern
 
 
-def sparsity_match(f: SparseFactors, g: WeightedDigraph) -> bool:
-    """Off-diagonal block pattern of the structured operator equals A's pattern."""
-    got = offdiag_block_pattern(hat_H_structured(f).matrix)
+def sparsity_match(op: DoubledOperator, g: WeightedDigraph) -> bool:
+    """Off-diagonal block pattern of the operator equals A's pattern."""
+    got = offdiag_block_pattern(op.matrix)
     want = g.adjacency() > 0
     return bool(np.array_equal(got, want))
 
@@ -126,7 +126,7 @@ def sum_difference_run(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Traj
         imag = _propagate(step, y0.imag, times)
         states = states[: len(imag)] + 1j * imag[: len(states)]
     if len(states) < len(times):
-        raise NumericalFailure(f"doubled state overflow at t={times[len(states)]}")
+        raise NumericalFailure(f"doubled state overflow at t={times[len(states)]:.12g}")
     return Trajectory(times, states, {"integrator": "expm", "dt": dt, "kind": op.kind})
 
 
@@ -153,13 +153,15 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
     return interleave(0.5 * (x0 + shift), 0.5 * (x0 - shift))
 
 
-def projection_identity_check(f: SparseFactors, x_hat) -> float:
-    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x; for a (k, 2n)
-    array of doubled states, the largest residual over its rows."""
+def projection_identity_check(op: DoubledOperator, x_hat) -> float:
+    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x for the structured
+    operator; for a (k, 2n) array of doubled states, the largest over its rows."""
+    if op.kind != "structured":
+        raise ModelViolation("the projection identity is checked on the structured operator")
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=complex))
-    H_hat_T = hat_H_structured(f).matrix.T
+    H_hat_T = op.matrix.T
     lhs = branch_sum(x_hat @ H_hat_T @ H_hat_T)
-    rhs = branch_sum(x_hat) @ laplacian_from_factors(f).T
+    rhs = branch_sum(x_hat) @ laplacian_from_factors(SparseFactors(**op.factors)).T
     num = np.linalg.norm(lhs - rhs, axis=1)
     return float((num / np.maximum(1.0, np.linalg.norm(rhs, axis=1))).max())
 

@@ -9,7 +9,6 @@ OVERFLOW_LIMIT in modulus ends a run.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -37,17 +36,15 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def to_csv(self) -> str:
+        """Header, then t and each node's real and imaginary part, as %.12g."""
         n = self.states.shape[1]
-        out = io.StringIO()
-        out.write("t," + ",".join(f"node{i}_re,node{i}_im" for i in range(n)) + "\n")
-        for t, row in zip(self.times, self.states):
-            cells = [f"{t:.12g}"]
-            for z in row:
-                z = complex(z)
-                cells.append(f"{z.real:.12g}")
-                cells.append(f"{z.imag:.12g}")
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        cols = np.empty((len(self.times), 1 + 2 * n))
+        cols[:, 0] = self.times
+        cols[:, 1::2] = self.states.real
+        cols[:, 2::2] = self.states.imag
+        row = ",".join(["%.12g"] * cols.shape[1]) + "\n"
+        header = "t," + ",".join(f"node{i}_re,node{i}_im" for i in range(n)) + "\n"
+        return header + "".join(row % tuple(r) for r in cols.tolist())
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,9 @@ def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Traject
     times = _grid(t_end, dt)
     states = _propagate(scipy.linalg.expm(s * Omega * dt), psi, times)
     if len(states) < len(times):
-        raise NumericalFailure(f"fundamental-equation state overflow at t={times[len(states)]}")
+        raise NumericalFailure(
+            f"fundamental-equation state overflow at t={times[len(states)]:.12g}"
+        )
     return Trajectory(
         times=times, states=states, meta={"integrator": "expm", "dt": dt, "sign": sign}
     )
@@ -196,7 +195,7 @@ def product_form_solve(Omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     times = _grid(t_end, dt)
     states = _propagate(step, psiI, times)
     if len(states) < len(times):
-        raise NumericalFailure(f"product-form state overflow at t={times[len(states)]}")
+        raise NumericalFailure(f"product-form state overflow at t={times[len(states)]:.12g}")
     statesI = states / np.exp(s * np.outer(times, omega0))
     meta = {"integrator": "product-form-rk4", "dt": dt, "sign": sign}
     return (

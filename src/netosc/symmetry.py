@@ -24,12 +24,6 @@ class SymmetrizationWeights:
 
     m: np.ndarray
 
-    def matrix_sqrt(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.m))
-
-    def matrix_inv_sqrt(self) -> np.ndarray:
-        return np.diag(1.0 / np.sqrt(self.m))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -145,6 +139,12 @@ def _fix_signs(P: np.ndarray) -> np.ndarray:
     return P
 
 
+def _similarity(X: np.ndarray, weights: SymmetrizationWeights) -> np.ndarray:
+    """M^{1/2} X M^{-1/2}, row scaling first, as broadcast products."""
+    m_sqrt = np.sqrt(weights.m)
+    return (m_sqrt[:, None] * X) * (1.0 / m_sqrt)
+
+
 def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomposition:
     """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (symmetric by construction).
 
@@ -156,7 +156,7 @@ def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomp
         return SpectralDecomposition(
             S0=np.zeros((n, n)), eigenvalues=np.zeros(n), P=np.eye(n), weights=weights
         )
-    S0 = weights.matrix_sqrt() @ L0 @ weights.matrix_inv_sqrt()
+    S0 = _similarity(L0, weights)
     asym = np.abs(S0 - S0.T).max()
     if asym > DEFAULT_TOL * np.abs(S0).max():
         raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
@@ -194,5 +194,4 @@ def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.nda
     """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
-    w = sd.weights
-    return sd.P.T @ (w.matrix_sqrt() @ LI @ w.matrix_inv_sqrt()) @ sd.P
+    return sd.P.T @ _similarity(LI, sd.weights) @ sd.P

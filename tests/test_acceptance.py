@@ -204,7 +204,7 @@ def test_criterion_7_product_form_equivalence():
 def test_criterion_8_sparsity_match():
     for _ in range(100):
         g = random_digraph(RNG, int(RNG.integers(3, 15)))
-        assert sparsity_match(sparse_factors(g), g)
+        assert sparsity_match(hat_H_structured(sparse_factors(g)), g)
     report(8, "structured operator block pattern equals adjacency pattern on 100/100 graphs")
 
 
@@ -230,10 +230,10 @@ def test_criterion_10_projection_identity():
     for _ in range(5):
         n = int(RNG.integers(3, 12))
         g = random_digraph(RNG, n)
-        f = sparse_factors(g)
+        op = hat_H_structured(sparse_factors(g))
         for _ in range(100):
             xh = RNG.standard_normal(2 * n) + 1j * RNG.standard_normal(2 * n)
-            worst = max(worst, projection_identity_check(f, xh))
+            worst = max(worst, projection_identity_check(op, xh))
     assert worst <= 1e-10
     report(10, f"projection identity residual {worst:.2e} <= 1e-10 over 500 random states")
 

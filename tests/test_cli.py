@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import warnings
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netosc import from_edges
+from netosc import _blas, from_edges
 from netosc.cli import COMMANDS, build_parser, run
+from netosc.errors import NumericalFailure
 
-from conftest import path3, random_symmetric_graph, ring3, star4, sym2
+from conftest import path3, random_digraph, random_symmetric_graph, ring3, star4, sym2
 
 
 @pytest.fixture
@@ -272,13 +274,21 @@ def test_ring3_long_wave_run_truncates_quietly(graph_file, capsys):
     assert json.loads(captured.out)["diverged_at"] == 84.56
 
 
+RING3_OVERFLOW = {
+    "fundamental": "fundamental-equation state overflow at t=84.35",
+    "product-form": "product-form state overflow at t=84.35",
+    "doubled": "doubled state overflow at t=84.57",
+}
+
+
 @pytest.mark.parametrize("command", ["fundamental", "product-form", "doubled"])
 def test_ring3_long_first_order_run_fails_with_one_line(graph_file, capsys, command):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run([command, "--input", graph_file(ring3())] + RING3_LONG)
     assert code == 3
-    assert single_error_line(capsys)["error"] == "NumericalFailure"
+    detail = RING3_OVERFLOW[command]
+    assert single_error_line(capsys) == {"error": "NumericalFailure", "detail": detail}
 
 
 @pytest.mark.parametrize("text", ["", "# no edges\n\n"], ids=["empty", "comments-only"])
@@ -445,3 +455,81 @@ def test_cli_contract_on_valid_graphs(tmp_path_factory, text):
 @given(text=mixed_graph_text())
 def test_cli_contract_on_mixed_text(tmp_path_factory, text):
     assert_cli_contract(tmp_path_factory.getbasetemp() / "fuzz_mixed.csv", text)
+
+
+@pytest.fixture
+def blas_pools():
+    """The OpenBLAS pools netosc found, checked against the libraries mapped into
+    this process; every pool's thread count is restored afterwards."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        libs = set()
+    pools = _blas._pools()
+    assert len(pools) == len(libs)
+    saved = blas_counts(pools)
+    yield pools
+    for (_, put), count in zip(pools, saved):
+        put(count)
+
+
+def blas_counts(pools):
+    return [get() for get, _ in pools]
+
+
+def set_blas(pools, count):
+    for _, put in pools:
+        put(count)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_command_runs_on_one_blas_thread_per_pool(
+    blas_pools, graph_file, capsys, monkeypatch, fails
+):
+    if not blas_pools:
+        pytest.skip("no OpenBLAS loaded")
+    seen = []
+
+    def command(args):
+        seen.append(blas_counts(blas_pools))
+        if fails:
+            raise NumericalFailure("stop")
+        return {}
+
+    monkeypatch.setitem(COMMANDS, "info", command)
+    set_blas(blas_pools, 2)
+    assert run(["info", "--input", graph_file(ring3())]) == (3 if fails else 0)
+    assert seen == [[1] * len(blas_pools)]
+    assert blas_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_blas_scope_without_a_pool_does_nothing(
+    blas_pools, graph_file, capsys, monkeypatch, tmp_path
+):
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f00-7f10 r-xp 00000000 08:01 42 /usr/lib/libc.so.6\n"
+        "7f10-7f20 r-xp 00000000 08:01 43 /nonexistent/libopenblas.so.0\n"
+    )
+    assert _blas._pools.__wrapped__(str(tmp_path / "missing")) == ()
+    assert _blas._pools.__wrapped__(str(maps)) == ()
+    monkeypatch.setattr(_blas, "_pools", functools.partial(_blas._pools.__wrapped__, str(maps)))
+    seen = []
+    monkeypatch.setitem(COMMANDS, "info", lambda args: seen.append(blas_counts(blas_pools)) or {})
+    set_blas(blas_pools, 2)
+    assert run(["info", "--input", graph_file(ring3())]) == 0
+    assert seen == [[2] * len(blas_pools)]
+    assert blas_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_output_does_not_depend_on_blas_threads_before_run(blas_pools, graph_file, capsys):
+    # rounding in multithreaded GEMM and Schur moved these residuals in low digits
+    path = graph_file(random_digraph(np.random.default_rng(1), 150))
+    outs = []
+    for count in (1, 2):
+        set_blas(blas_pools, count)
+        for argv in (["sqrt"], ["verify", "--t-end", "1"]):
+            assert run(argv + ["--input", path]) == 0
+            outs.append(capsys.readouterr().out)
+    assert outs[:2] == outs[2:]

@@ -127,7 +127,7 @@ def test_nilpotent_factor():
 def test_structured_pattern_matches_adjacency(rng):
     for _ in range(20):
         g = random_positive_outdegree_digraph(rng, int(rng.integers(3, 12)))
-        assert sparsity_match(sparse_factors(g), g)
+        assert sparsity_match(hat_H_structured(sparse_factors(g)), g)
 
 
 def test_structured_square_differs_from_doubled_laplacian_on_star():
@@ -231,14 +231,13 @@ def test_doubled_sum_matches_wave(rng):
 
 
 def test_projection_identity(rng):
-    g = star4()
-    f = sparse_factors(g)
-    assert projection_identity_check(f, np.zeros(8)) == 0.0
+    op = hat_H_structured(sparse_factors(star4()))
+    assert projection_identity_check(op, np.zeros(8)) == 0.0
     for _ in range(100):
         xh = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert projection_identity_check(f, xh) <= 1e-10
-    assert projection_identity_check(f, np.zeros((3, 8))) == 0.0
-    assert projection_identity_check(f, rng.standard_normal((100, 8))) <= 1e-10
+        assert projection_identity_check(op, xh) <= 1e-10
+    assert projection_identity_check(op, np.zeros((3, 8))) == 0.0
+    assert projection_identity_check(op, rng.standard_normal((100, 8))) <= 1e-10
 
 
 def test_projection_identity_cancellation(rng):
@@ -249,7 +248,7 @@ def test_projection_identity_cancellation(rng):
     op = hat_H_structured(f)
     lhs = branch_sum(op.matrix @ (op.matrix @ xh))
     assert np.abs(lhs).max() <= 1e-10
-    assert projection_identity_check(f, xh) <= 1e-10
+    assert projection_identity_check(op, xh) <= 1e-10
 
 
 def test_infeasibility_witness_report():
@@ -343,3 +342,5 @@ def test_spectral_operator_is_not_integrated():
     op = hat_H_spectral(np.eye(2))
     with pytest.raises(ModelViolation):
         integrate_doubled(op, np.zeros(4), t_end=0.1, dt=1e-2)
+    with pytest.raises(ModelViolation):
+        projection_identity_check(op, np.zeros(4))

@@ -21,6 +21,7 @@ from netosc import (
 from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable
 from netosc.dynamics import (
     OVERFLOW_LIMIT,
+    Trajectory,
     _propagate,
     first_order_residual,
     second_order_residual,
@@ -331,3 +332,29 @@ def test_product_form_matches_stepwise_rk4(rng):
 def test_flaming_rejects_empty_or_non_square(shape):
     with pytest.raises(DimensionMismatch):
         flaming_indicator(np.zeros(shape))
+
+
+def per_cell_csv(traj):
+    """The cell-by-cell formatting that to_csv replaced, kept as its oracle."""
+    n = traj.states.shape[1]
+    lines = ["t," + ",".join(f"node{i}_re,node{i}_im" for i in range(n))]
+    for t, row in zip(traj.times, traj.states):
+        cells = [f"{t:.12g}"]
+        for z in row:
+            z = complex(z)
+            cells += [f"{z.real:.12g}", f"{z.imag:.12g}"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_to_csv_matches_per_cell_formatting(rng):
+    special = [-0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1 + 0.2, np.inf, -np.inf, np.nan]
+    mags = 10.0 ** rng.uniform(-300, 300, size=(40, 9))
+    noise = rng.standard_normal((40, 9)) * mags + 1j * rng.standard_normal((40, 9)) * mags
+    swapped = np.zeros(len(special), dtype=complex)
+    swapped.imag = special
+    complex_states = np.vstack([special, swapped, noise])
+    times = np.arange(len(complex_states)) * 0.1
+    for states in (complex_states, complex_states.real.copy()):
+        traj = Trajectory(times=times, states=states)
+        assert traj.to_csv() == per_cell_csv(traj)
