@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _blas
 from .dynamics import Trajectory, _grid, _propagate
 from .errors import DimensionMismatch, ModelViolation, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
@@ -118,7 +118,7 @@ def sum_difference_run(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Traj
     if op.kind != "structured":
         raise ModelViolation("only the structured operator is integrated")
     Hd, Ha = op.factors["Hd"], op.factors["Ha"]
-    step = scipy.linalg.expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
+    step = _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
     y0 = np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
     times = _grid(t_end, dt)
     states = _propagate(step, y0.real, times)

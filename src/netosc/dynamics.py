@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from . import _blas
 from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
 from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition
@@ -58,7 +58,6 @@ class ModalAmplitudes:
 class EnergyReport:
     total: float
     per_node: np.ndarray
-    time_series: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,13 @@ def _grid(t_end: float, dt: float) -> np.ndarray:
         raise ValueError("dt must be > 0 and t_end >= 0")
     steps = int(round(t_end / dt))
     return np.arange(steps + 1) * dt
+
+
+def _phase(sign: str) -> complex:
+    """-i for the '+' equation i dpsi/dt = Omega psi, +i for the '-' one."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return -1j if sign == "+" else 1j
 
 
 def _rk4_step(f, t, y, h):
@@ -144,11 +150,9 @@ def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Traject
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (Omega.shape[0],):
         raise DimensionMismatch("state length does not match Omega")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    s = -1j if sign == "+" else 1j
+    s = _phase(sign)
     times = _grid(t_end, dt)
-    states = _propagate(scipy.linalg.expm(s * Omega * dt), psi, times)
+    states = _propagate(_blas.linalg().expm(s * Omega * dt), psi, times)
     if len(states) < len(times):
         raise NumericalFailure(
             f"fundamental-equation state overflow at t={times[len(states)]:.12g}"
@@ -183,7 +187,7 @@ def product_form_solve(Omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     psiI = np.asarray(psiI0, dtype=complex)
     if psiI.shape != (len(omega0),) or OmegaI.shape != (len(omega0), len(omega0)):
         raise DimensionMismatch("operator/state dimensions disagree")
-    s = -1j if sign == "+" else 1j
+    s = _phase(sign)
 
     def rhs(t, y):
         phase = np.exp(s * omega0 * t)               # diagonal of Psi0(t)
@@ -212,19 +216,6 @@ def second_order_residual(traj: Trajectory, Lambda) -> float:
     acc = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dt**2
     forcing = psi[1:-1] @ Lambda.T
     num = np.linalg.norm(acc + forcing, axis=1)
-    den = np.maximum(1.0, np.linalg.norm(forcing, axis=1))
-    return float((num / den).max())
-
-
-def first_order_residual(traj: Trajectory, Omega, sign="+") -> float:
-    """Max relative centered-difference residual of +-i psi' = Omega psi."""
-    Omega = np.asarray(Omega, dtype=complex)
-    psi = traj.states
-    dt = traj.dt
-    pm = 1j if sign == "+" else -1j
-    deriv = (psi[2:] - psi[:-2]) / (2 * dt)
-    forcing = psi[1:-1] @ Omega.T
-    num = np.linalg.norm(pm * deriv - forcing, axis=1)
     den = np.maximum(1.0, np.linalg.norm(forcing, axis=1))
     return float((num / den).max())
 

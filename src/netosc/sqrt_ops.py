@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _blas
 from .errors import DimensionMismatch, ModelViolation, NumericalFailure, SqrtUndefined
 from .symmetry import SpectralDecomposition
 
@@ -47,13 +47,14 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if scale == 0:
         return mat.copy()
     zero_tol = ZERO_EIG_REL_TOL * scale
+    linalg = _blas.linalg()
     try:
         # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
         # (k x k) nonsingular and T22 carrying the zero cluster
-        T, Z, k = scipy.linalg.schur(
+        T, Z, k = linalg.schur(
             mat, output="real", sort=lambda re, im: abs(complex(re, im)) > zero_tol
         )
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except (linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
 
     eigs = _quasi_triangular_eigenvalues(T[:k, :k])
@@ -117,7 +118,7 @@ def _quasi_triangular_sqrt(T: np.ndarray, U: np.ndarray, lo: int, hi: int) -> No
 
 def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve A X + X B = C for upper quasi-triangular A and B."""
-    X, scale, info = scipy.linalg.lapack.dtrsyl(A, B, C)
+    X, scale, info = _blas.linalg().lapack.dtrsyl(A, B, C)
     if info != 0:
         raise NumericalFailure(f"Sylvester solve failed (dtrsyl info {info})")
     return X / scale

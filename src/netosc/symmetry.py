@@ -96,16 +96,6 @@ def check_symmetrizable(g: WeightedDigraph) -> SymmetrizationWeights:
     return SymmetrizationWeights(m=m)
 
 
-def null_weight_cross_check(g: WeightedDigraph) -> np.ndarray:
-    """Independent m estimate: left null vector of L, rescaled to min 1."""
-    _, _, L = build_matrices(g)
-    _, _, vh = np.linalg.svd(L.T)
-    m = vh[-1]
-    if m.sum() < 0:
-        m = -m
-    return m / m.min()
-
-
 def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
     """Split L into a symmetrizable part L0 and a one-way remainder LI.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from netosc import from_edges
+from netosc.graph import build_matrices
 
 # property tests draw the same examples on every run and keep tier-1 fast
 settings.register_profile("netosc", derandomize=True, deadline=None, max_examples=40)
@@ -113,6 +114,28 @@ def extract_plus(x_hat):
 
 def extract_minus(x_hat):
     return x_hat[1::2]
+
+
+def first_order_residual(traj, Omega, sign="+"):
+    """Max relative centered-difference residual of +-i psi' = Omega psi."""
+    Omega = np.asarray(Omega, dtype=complex)
+    psi = traj.states
+    pm = 1j if sign == "+" else -1j
+    deriv = (psi[2:] - psi[:-2]) / (2 * traj.dt)
+    forcing = psi[1:-1] @ Omega.T
+    num = np.linalg.norm(pm * deriv - forcing, axis=1)
+    den = np.maximum(1.0, np.linalg.norm(forcing, axis=1))
+    return float((num / den).max())
+
+
+def null_weight_cross_check(g):
+    """Independent m estimate: left null vector of L, rescaled to min 1."""
+    _, _, L = build_matrices(g)
+    _, _, vh = np.linalg.svd(L.T)
+    m = vh[-1]
+    if m.sum() < 0:
+        m = -m
+    return m / m.min()
 
 
 @pytest.fixture

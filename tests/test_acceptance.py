@@ -34,7 +34,6 @@ from netosc.doubled import (
 )
 from netosc.dynamics import (
     Trajectory,
-    first_order_residual,
     second_order_residual,
     wave_energy_series,
 )
@@ -42,6 +41,7 @@ from netosc.errors import NotSymmetrizable
 from netosc.sqrt_ops import node_sqrt_residual, sqrt_residual
 
 from conftest import (
+    first_order_residual,
     k3,
     kron_laplacian,
     path5,

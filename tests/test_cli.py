@@ -2,6 +2,9 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,11 +12,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import netosc
 from netosc import _blas, from_edges
 from netosc.cli import COMMANDS, build_parser, run
 from netosc.errors import NumericalFailure
 
-from conftest import path3, random_digraph, random_symmetric_graph, ring3, star4, sym2
+from conftest import (
+    path3,
+    random_detailed_balance_graph,
+    random_digraph,
+    random_symmetric_graph,
+    ring3,
+    star4,
+    sym2,
+)
 
 
 @pytest.fixture
@@ -470,16 +482,16 @@ def blas_pools():
     assert len(pools) == len(libs)
     saved = blas_counts(pools)
     yield pools
-    for (_, put), count in zip(pools, saved):
+    for (_, _, put), count in zip(pools, saved):
         put(count)
 
 
 def blas_counts(pools):
-    return [get() for get, _ in pools]
+    return [get() for _, get, _ in pools]
 
 
 def set_blas(pools, count):
-    for _, put in pools:
+    for _, _, put in pools:
         put(count)
 
 
@@ -533,3 +545,88 @@ def test_output_does_not_depend_on_blas_threads_before_run(blas_pools, graph_fil
             assert run(argv + ["--input", path]) == 0
             outs.append(capsys.readouterr().out)
     assert outs[:2] == outs[2:]
+
+
+SCIPY_FREE = ["info", "check", "decompose", "spectrum", "centrality", "flaming", "simulate"]
+
+# Runs in a fresh interpreter: this test process imported scipy long ago.
+DEFERRED_SCIPY_SCRIPT = """
+import contextlib, ctypes, io, json, sys
+import netosc, netosc.cli
+from netosc import sqrt_ops
+from netosc.cli import run
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def counts():
+    \"\"\"Thread count of every OpenBLAS mapped into this process.\"\"\"
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln and ".so" in ln})
+    except OSError:
+        return {}
+    found = {}
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        get = next(
+            getattr(handle, f"{prefix}_get_num_threads{suffix}")
+            for prefix in ("scipy_openblas", "openblas")
+            for suffix in ("64_", "")
+            if hasattr(handle, f"{prefix}_get_num_threads{suffix}")
+        )
+        get.restype = ctypes.c_int
+        found[lib] = get()
+    return found
+
+oneway, balanced, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+report = {"import": scipy_modules(), "commands": []}
+inside = []
+sylvester = sqrt_ops._sylvester
+def spy(*args):
+    inside.append(counts())
+    return sylvester(*args)
+sqrt_ops._sylvester = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in (balanced, oneway):
+        for command in commands:
+            code = run([command, "--input", path, "--t-end", "0.01"])
+            report["commands"].append([command, code, scipy_modules()])
+    report["before"] = counts()
+    report["sqrt"] = run(["sqrt", "--input", oneway])
+report.update(inside=inside, after=counts())
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
+    rng = np.random.default_rng(3)
+    oneway = graph_file(random_digraph(rng, 8), "oneway.csv")
+    balanced = graph_file(random_detailed_balance_graph(rng, 8), "balanced.csv")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(netosc.__file__)), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", DEFERRED_SCIPY_SCRIPT, oneway, balanced, *SCIPY_FREE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    # centrality refuses the one-way graph (model violation, exit 4)
+    assert report["commands"] == [
+        [command, 4 if (path, command) == (oneway, "centrality") else 0, []]
+        for path in (balanced, oneway)
+        for command in SCIPY_FREE
+    ]
+    assert report["sqrt"] == 0
+    if not report["after"]:
+        pytest.skip("no OpenBLAS loaded")
+    # the Schur root of this one-way graph joins blocks by Sylvester solves,
+    # each on one thread in every pool, scipy's own included
+    assert report["inside"]
+    for seen in report["inside"]:
+        assert seen == {lib: 1 for lib in report["after"]}
+    assert set(report["before"]) < set(report["after"])
+    assert report["after"] == {lib: 2 for lib in report["after"]}

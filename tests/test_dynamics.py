@@ -23,12 +23,12 @@ from netosc.dynamics import (
     OVERFLOW_LIMIT,
     Trajectory,
     _propagate,
-    first_order_residual,
     second_order_residual,
     wave_energy_series,
 )
 
 from conftest import (
+    first_order_residual,
     k3,
     path3,
     random_detailed_balance_graph,
@@ -164,6 +164,17 @@ def test_product_form_matches_direct(rng):
         assert np.abs(traj.states - direct.states).max() <= 1e-5
 
 
+@pytest.mark.parametrize("sign", ["plus", "", "+-", None])
+def test_first_order_solvers_reject_an_unknown_sign(sign):
+    # product_form_solve once ran the '-' equation for anything but '+'
+    _, b = bundle_for(ring3())
+    psi0 = np.ones(3, dtype=complex)
+    with pytest.raises(ValueError, match="sign must be"):
+        integrate_fundamental(b.Omega, psi0, sign, t_end=0.1, dt=1e-2)
+    with pytest.raises(ValueError, match="sign must be"):
+        product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=0.1, dt=1e-2)
+
+
 def test_node_energy_star_unit_amplitudes():
     g = star4()
     split, sd = spectral_decomposition(g)
@@ -247,6 +258,18 @@ def test_flaming_is_scale_invariant(seed, n, exponent):
     base, scaled = flaming_indicator(L), flaming_indicator(c * L)
     assert scaled.growth_rate == pytest.approx(np.sqrt(c) * base.growth_rate, rel=1e-6, abs=0)
     assert scaled.verdict == base.verdict
+
+
+@given(k=st.integers(3, 100), exponent=st.floats(-6.0, 6.0))
+def test_flaming_directed_ring_matches_its_spectrum(k, exponent):
+    # L = c (I - shift) has eigenvalues c (1 - e^{2 pi i j / k}), so the rate
+    # is sqrt(c) max_j |Im sqrt(1 - e^{2 pi i j / k})|
+    c = 10.0**exponent
+    L = c * (np.eye(k) - np.roll(np.eye(k), 1, axis=1))
+    want = np.sqrt(c) * np.abs(np.sqrt(1 - np.exp(2j * np.pi * np.arange(k) / k)).imag).max()
+    ind = flaming_indicator(L)
+    assert abs(ind.growth_rate - want) <= 1e-14 * np.sqrt(c)
+    assert ind.verdict == "divergent"
 
 
 def test_wave_divergence_truncates():

@@ -13,9 +13,10 @@ from netosc import (
     to_modes,
 )
 from netosc.errors import DimensionMismatch, NotSymmetrizable
-from netosc.symmetry import SymmetrizationWeights, null_weight_cross_check
+from netosc.symmetry import SymmetrizationWeights
 
 from conftest import (
+    null_weight_cross_check,
     random_detailed_balance_graph,
     random_digraph,
     random_symmetric_graph,
