@@ -9,7 +9,6 @@ from . import doubled, dynamics, graph, sqrt_ops, symmetry
 from .dynamics import (
     EnergyReport,
     FlamingIndicator,
-    ModalAmplitudes,
     Trajectory,
     degree_centrality_energy,
     flaming_indicator,
@@ -24,7 +23,6 @@ from .sqrt_ops import OperatorBundle, build_bundle, principal_sqrt, sqrt_residua
 from .symmetry import (
     LaplacianSplit,
     SpectralDecomposition,
-    SymmetrizationWeights,
     check_symmetrizable,
     decompose_laplacian,
     from_modes,

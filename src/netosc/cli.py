@@ -45,6 +45,14 @@ def _positive(text):
     return value
 
 
+def _seed(text):
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return value
+
+
 def _vector(text):
     """argparse type for a comma-separated list of finite numbers."""
     vec = np.array([float(p) for p in text.split(",")])
@@ -61,7 +69,7 @@ def _add_common(sub, multi_input=False):
     sub.add_argument("--t-end", type=_nonnegative, default=10.0)
     sub.add_argument("--dt", type=_positive, default=1e-3)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
 
 
 @functools.cache  # one parser per process, shared by every run(); do not modify it
@@ -69,21 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="netosc", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in (
-        "info",
-        "check",
-        "decompose",
-        "spectrum",
-        "sqrt",
-        "simulate",
-        "fundamental",
-        "product-form",
-        "doubled",
-        "centrality",
-        "flaming",
-    ):
+    for name in COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub)
+        _add_common(sub, multi_input=name == "verify")
         if name == "sqrt":
             sub.add_argument("--dump-operators", action="store_true")
         if name in ("simulate", "doubled"):
@@ -98,15 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--psi0", type=_vector, help="comma-separated initial mode amplitudes"
             )
-    verify = subs.add_parser("verify")
-    _add_common(verify, multi_input=True)
     return parser
 
 
 def _bundle_for_graph(g):
     split, sd = symmetry.spectral_decomposition(g)
     lam_I = symmetry.mode_interaction_matrix(split.LI, sd)
-    return split, sd, sqrt_ops.build_bundle(sd, lam_I)
+    return sqrt_ops.build_bundle(sd, lam_I)
 
 
 def _default_x0(n):
@@ -130,8 +124,8 @@ def cmd_info(args):
 def cmd_check(args):
     g = graph.load_edge_list(args.input)
     try:
-        w = symmetry.check_symmetrizable(g)
-        return {"symmetrizable": True, "m": w.m, "violations": []}
+        m = symmetry.check_symmetrizable(g)
+        return {"symmetrizable": True, "m": m, "violations": []}
     except NotSymmetrizable as exc:
         violation = {"reason": exc.reason}
         if exc.edge is not None:
@@ -144,7 +138,7 @@ def cmd_decompose(args):
     split = symmetry.decompose_laplacian(g)
     return {
         "symmetrizable": split.is_pure_symmetrizable,
-        "m": split.weights.m,
+        "m": split.m,
         "violations": [],
         "split": {"L0": split.L0, "LI": split.LI},
     }
@@ -155,14 +149,14 @@ def cmd_spectrum(args):
     split, sd = symmetry.spectral_decomposition(g)
     return {
         "eigenvalues": sd.eigenvalues,
-        "m": sd.weights.m,
+        "m": sd.m,
         "symmetrizable": split.is_pure_symmetrizable,
     }
 
 
 def cmd_sqrt(args):
     g = graph.load_edge_list(args.input)
-    _, _, bundle = _bundle_for_graph(g)
+    bundle = _bundle_for_graph(g)
     report = {
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
         "h_residual": sqrt_ops.node_sqrt_residual(bundle),
@@ -196,8 +190,8 @@ def cmd_simulate(args):
 
 def cmd_fundamental(args):
     g = graph.load_edge_list(args.input)
-    _, sd, bundle = _bundle_for_graph(g)
-    psi0 = symmetry.to_modes(_default_x0(g.n), sd) if args.psi0 is None else args.psi0
+    bundle = _bundle_for_graph(g)
+    psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
@@ -212,8 +206,8 @@ def cmd_fundamental(args):
 
 def cmd_product_form(args):
     g = graph.load_edge_list(args.input)
-    _, sd, bundle = _bundle_for_graph(g)
-    psi0 = symmetry.to_modes(_default_x0(g.n), sd) if args.psi0 is None else args.psi0
+    bundle = _bundle_for_graph(g)
+    psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj, traj_I = dynamics.product_form_solve(
         bundle.Omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
@@ -226,23 +220,31 @@ def cmd_product_form(args):
     return {"sign": args.sign, "sup_gap_vs_direct": gap, "final_state": traj.states[-1]}
 
 
+def _theorem1(L, op, x0, v0, args):
+    """Theorem 1 run: lift (x0, v0), step the structured operator and return its
+    branch sum x+ + x- = sqrt2 s with the sup gap to the RK4 wave run."""
+    x_hat0 = doubled.lift_initial_conditions(op.factors, x0, v0)
+    run = doubled.sum_difference_run(op, x_hat0, t_end=args.t_end, dt=args.dt)
+    s = np.sqrt(2.0) * run.states[:, : len(x0)]
+    wave = dynamics.integrate_wave(L, x0, v0, t_end=args.t_end, dt=args.dt)
+    gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
+    return dynamics.Trajectory(times=run.times, states=s), gap
+
+
 def cmd_doubled(args):
     g = graph.load_edge_list(args.input)
     f = doubled.sparse_factors(g)
     x0 = _default_x0(g.n) if args.x0 is None else args.x0
     v0 = np.zeros(g.n) if args.v0 is None else args.v0
     op = doubled.hat_H_structured(f)
-    x_hat0 = doubled.lift_initial_conditions(f, x0, v0)
     if args.format == "csv":
+        x_hat0 = doubled.lift_initial_conditions(f, x0, v0)
         return doubled.integrate_doubled(op, x_hat0, t_end=args.t_end, dt=args.dt).to_csv()
-    run = doubled.sum_difference_run(op, x_hat0, t_end=args.t_end, dt=args.dt)
-    s = np.sqrt(2.0) * run.states[:, : g.n]          # the branch sum x+ + x-
-    wave = dynamics.integrate_wave(graph.laplacian(g), x0, v0, t_end=args.t_end, dt=args.dt)
-    gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
+    branch, gap = _theorem1(graph.laplacian(g), op, x0, v0, args)
     return {
         "sparsity_match": doubled.sparsity_match(op, g),
         "theorem1_gap": gap,
-        "final_branch_sum": s[-1].astype(complex),
+        "final_branch_sum": branch.states[-1].astype(complex),
     }
 
 
@@ -275,12 +277,8 @@ def verify_graph(path, args) -> dict:
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(g.n)
     v0 = rng.standard_normal(g.n)
-    x_hat0 = doubled.lift_initial_conditions(f, x0, v0)
-    run = doubled.sum_difference_run(op, x_hat0, t_end=args.t_end, dt=args.dt)
-    s = np.sqrt(2.0) * run.states[:, : g.n]          # the branch sum x+ + x-
-    eq22 = dynamics.second_order_residual(dynamics.Trajectory(times=run.times, states=s), L)
-    wave = dynamics.integrate_wave(L, x0, v0, t_end=args.t_end, dt=args.dt)
-    theorem1_gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
+    branch, theorem1_gap = _theorem1(L, op, x0, v0, args)
+    eq22 = dynamics.second_order_residual(branch, L)
     eq26 = doubled.projection_identity_check(op, rng.standard_normal((100, 2 * g.n)))
     return {
         "input": os.path.basename(path),

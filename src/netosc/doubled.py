@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _blas
 from .dynamics import Trajectory, _grid, _propagate
-from .errors import DimensionMismatch, ModelViolation, NumericalFailure, ZeroDegreeNode
+from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
 E2 = np.eye(2)
@@ -41,23 +41,23 @@ def branch_sum(x_hat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseFactors:
-    """Hd = diag(sqrt(d_i)) and Ha with Ha[i, j] = w_ij / sqrt(d_i)."""
+    """Hd = diag(d_sqrt) with d_sqrt[i] = sqrt(d_i), and Ha[i, j] = w_ij / sqrt(d_i)."""
 
-    Hd: np.ndarray
+    d_sqrt: np.ndarray
     Ha: np.ndarray
 
 
 @dataclass(frozen=True)
-class DoubledOperator:
+class StructuredOperator:
+    """The structured 2n x 2n matrix and the factors it is built from."""
+
     matrix: np.ndarray
-    kind: str                    # "spectral" or "structured"
-    factors: dict
+    factors: SparseFactors
 
 
-def hat_H_spectral(H: np.ndarray) -> DoubledOperator:
+def hat_H_spectral(H: np.ndarray) -> np.ndarray:
     """H (x) diag(1, -1); squares to L (x) E but is dense like H."""
-    H = np.asarray(H)
-    return DoubledOperator(matrix=np.kron(H, SIGN2), kind="spectral", factors={"H": H})
+    return np.kron(np.asarray(H), SIGN2)
 
 
 def sparse_factors(g: WeightedDigraph) -> SparseFactors:
@@ -66,13 +66,13 @@ def sparse_factors(g: WeightedDigraph) -> SparseFactors:
     for i, di in enumerate(d):
         if di == 0:
             raise ZeroDegreeNode(g.labels[i])
-    return SparseFactors(Hd=np.diag(np.sqrt(d)), Ha=A / np.sqrt(d)[:, None])
+    return SparseFactors(d_sqrt=np.sqrt(d), Ha=A / np.sqrt(d)[:, None])
 
 
-def hat_H_structured(f: SparseFactors) -> DoubledOperator:
+def hat_H_structured(f: SparseFactors) -> StructuredOperator:
     """Hd (x) diag(1,-1) - Ha (x) X with X the nilpotent half-block."""
-    matrix = np.kron(f.Hd, SIGN2) - np.kron(f.Ha, NILPOTENT)
-    return DoubledOperator(matrix=matrix, kind="structured", factors={"Hd": f.Hd, "Ha": f.Ha})
+    matrix = np.kron(np.diag(f.d_sqrt), SIGN2) - np.kron(f.Ha, NILPOTENT)
+    return StructuredOperator(matrix=matrix, factors=f)
 
 
 def offdiag_block_pattern(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -84,7 +84,7 @@ def offdiag_block_pattern(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return pattern
 
 
-def sparsity_match(op: DoubledOperator, g: WeightedDigraph) -> bool:
+def sparsity_match(op: StructuredOperator, g: WeightedDigraph) -> bool:
     """Off-diagonal block pattern of the operator equals A's pattern."""
     got = offdiag_block_pattern(op.matrix)
     want = g.adjacency() > 0
@@ -97,27 +97,26 @@ def hat_H_squared_expansion(f: SparseFactors):
     Returns (termD, termSym, termMix); termD - termSym - termMix equals the
     square.  termMix vanishes exactly when Hd commutes with Ha (regular graphs).
     """
-    Hd, Ha = f.Hd, f.Ha
-    termD = np.kron(Hd @ Hd, E2)
-    termSym = np.kron(Hd @ Ha + Ha @ Hd, 0.5 * E2)
-    termMix = np.kron(Hd @ Ha - Ha @ Hd, 0.5 * SWAP2)
+    HdHa = f.d_sqrt[:, None] * f.Ha
+    HaHd = f.Ha * f.d_sqrt
+    termD = np.kron(np.diag(f.d_sqrt**2), E2)
+    termSym = np.kron(HdHa + HaHd, 0.5 * E2)
+    termMix = np.kron(HdHa - HaHd, 0.5 * SWAP2)
     return termD, termSym, termMix
 
 
 def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
     """L = Hd^2 - Hd Ha (and A = Hd Ha, D = Hd^2)."""
-    return f.Hd @ f.Hd - f.Hd @ f.Ha
+    return np.diag(f.d_sqrt**2) - f.d_sqrt[:, None] * f.Ha
 
 
-def sum_difference_run(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
     """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt);
     an x_hat0 that is not lifted takes a second run on the imaginary part of (s, w)."""
     x = np.asarray(x_hat0, dtype=complex)
     if x.shape != (op.matrix.shape[0],):
         raise DimensionMismatch("doubled state length does not match operator")
-    if op.kind != "structured":
-        raise ModelViolation("only the structured operator is integrated")
-    Hd, Ha = op.factors["Hd"], op.factors["Ha"]
+    Hd, Ha = np.diag(op.factors.d_sqrt), op.factors.Ha
     step = _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
     y0 = np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
     times = _grid(t_end, dt)
@@ -127,14 +126,14 @@ def sum_difference_run(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Traj
         states = states[: len(imag)] + 1j * imag[: len(states)]
     if len(states) < len(times):
         raise NumericalFailure(f"doubled state overflow at t={times[len(states)]:.12g}")
-    return Trajectory(times, states, {"integrator": "expm", "dt": dt, "kind": op.kind})
+    return Trajectory(times, states)
 
 
-def integrate_doubled(op: DoubledOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+def integrate_doubled(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
     """Propagate i dx_hat/dt = H_hat x_hat; states interleave x+- = (s +- i w)/sqrt2."""
     run = sum_difference_run(op, x_hat0, t_end, dt)
     s, w = np.hsplit(run.states / np.sqrt(2.0), 2)
-    return Trajectory(times=run.times, states=interleave(s + 1j * w, s - 1j * w), meta=run.meta)
+    return Trajectory(times=run.times, states=interleave(s + 1j * w, s - 1j * w))
 
 
 def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
@@ -146,42 +145,19 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    d_sqrt = np.diag(f.Hd)
-    if x0.shape != d_sqrt.shape or v0.shape != d_sqrt.shape:
+    if x0.shape != f.d_sqrt.shape or v0.shape != f.d_sqrt.shape:
         raise DimensionMismatch("initial state length does not match the graph")
-    shift = 1j * v0 / d_sqrt
+    shift = 1j * v0 / f.d_sqrt
     return interleave(0.5 * (x0 + shift), 0.5 * (x0 - shift))
 
 
-def projection_identity_check(op: DoubledOperator, x_hat) -> float:
+def projection_identity_check(op: StructuredOperator, x_hat) -> float:
     """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x for the structured
     operator; for a (k, 2n) array of doubled states, the largest over its rows."""
-    if op.kind != "structured":
-        raise ModelViolation("the projection identity is checked on the structured operator")
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=complex))
     H_hat_T = op.matrix.T
     lhs = branch_sum(x_hat @ H_hat_T @ H_hat_T)
-    rhs = branch_sum(x_hat) @ laplacian_from_factors(SparseFactors(**op.factors)).T
+    rhs = branch_sum(x_hat) @ laplacian_from_factors(op.factors).T
     num = np.linalg.norm(lhs - rhs, axis=1)
     return float((num / np.maximum(1.0, np.linalg.norm(rhs, axis=1))).max())
 
-
-def infeasibility_witness() -> dict:
-    """Verify why no exact doubled square root with matching sparsity exists.
-
-    The nilpotent factor X is singular, so no Y with XY = E exists; the
-    relaxed conditions Y^2 = E, X^2 = O are satisfiable.
-    """
-    X = NILPOTENT
-    Y = SIGN2
-    det_X = float(np.linalg.det(X))
-    X_sq = X @ X
-    Y_sq = Y @ Y
-    return {
-        "det_X": det_X,
-        "X_squared_is_zero": bool(np.array_equal(X_sq, np.zeros((2, 2)))),
-        "Y_squared_is_identity": bool(np.array_equal(Y_sq, E2)),
-        "X_invertible": det_X != 0.0,
-        "exact_condition_feasible": False,
-        "relaxed_condition_feasible": True,
-    }

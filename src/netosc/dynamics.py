@@ -48,13 +48,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class ModalAmplitudes:
-    """Complex excitation amplitude per oscillation mode."""
-
-    a: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     total: float
     per_node: np.ndarray
@@ -138,7 +131,7 @@ def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
     step = _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
     times = _grid(t_end, dt)
     states = _propagate(step, np.concatenate([x0, v0]), times, watch=slice(n))
-    meta = {"integrator": "rk4", "dt": dt, "velocities": states[:, n:]}
+    meta = {"velocities": states[:, n:]}
     if len(states) < len(times):
         meta["diverged_at"] = times[len(states)]
     return Trajectory(times=times[: len(states)], states=states[:, :n], meta=meta)
@@ -157,9 +150,7 @@ def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Traject
         raise NumericalFailure(
             f"fundamental-equation state overflow at t={times[len(states)]:.12g}"
         )
-    return Trajectory(
-        times=times, states=states, meta={"integrator": "expm", "dt": dt, "sign": sign}
-    )
+    return Trajectory(times=times, states=states)
 
 
 def superpose(traj_plus: Trajectory, traj_minus: Trajectory, c_plus, c_minus) -> Trajectory:
@@ -171,7 +162,6 @@ def superpose(traj_plus: Trajectory, traj_minus: Trajectory, c_plus, c_minus) ->
     return Trajectory(
         times=traj_plus.times,
         states=c_plus * traj_plus.states + c_minus * traj_minus.states,
-        meta={"integrator": "superpose", "dt": traj_plus.dt},
     )
 
 
@@ -201,17 +191,15 @@ def product_form_solve(Omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     if len(states) < len(times):
         raise NumericalFailure(f"product-form state overflow at t={times[len(states)]:.12g}")
     statesI = states / np.exp(s * np.outer(times, omega0))
-    meta = {"integrator": "product-form-rk4", "dt": dt, "sign": sign}
-    return (
-        Trajectory(times=times, states=states, meta=meta),
-        Trajectory(times=times, states=statesI, meta=meta),
-    )
+    return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 
 
 def second_order_residual(traj: Trajectory, Lambda) -> float:
-    """Max relative centered-difference residual of psi'' = -Lambda psi."""
+    """Max relative centered-difference residual of psi'' = -Lambda psi (>= 3 rows)."""
     Lambda = np.asarray(Lambda)
     psi = traj.states
+    if len(psi) < 3:
+        raise GridMismatch(f"the second-order residual needs 3 grid rows, got {len(psi)}")
     dt = traj.dt
     acc = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dt**2
     forcing = psi[1:-1] @ Lambda.T
@@ -223,7 +211,7 @@ def second_order_residual(traj: Trajectory, Lambda) -> float:
 def wave_energy_series(traj: Trajectory, sd: SpectralDecomposition) -> np.ndarray:
     """E(t) = (1/2)(|psi_dot|^2 + psi . Lambda0 psi) along an integrate_wave run."""
     vs = traj.meta["velocities"]
-    m_sqrt = np.sqrt(sd.weights.m)
+    m_sqrt = np.sqrt(sd.m)
     psi = (traj.states * m_sqrt) @ sd.P
     psi_dot = (vs * m_sqrt) @ sd.P
     return 0.5 * (
@@ -232,17 +220,15 @@ def wave_energy_series(traj: Trajectory, sd: SpectralDecomposition) -> np.ndarra
     )
 
 
-def node_energy(
-    sd: SpectralDecomposition, amps: ModalAmplitudes, split=None
-) -> EnergyReport:
+def node_energy(sd: SpectralDecomposition, a, split=None) -> EnergyReport:
     """Per-node oscillation energy (1/2) sum_mu lambda_mu |a_mu|^2 v_{mu,i}^2.
 
-    The zero-frequency mode carries no energy.  If a Laplacian split is
-    supplied it must have an empty one-way part.
+    a holds each mode's complex amplitude; the zero-frequency mode carries no
+    energy.  A Laplacian split, if supplied, must have an empty one-way part.
     """
     if split is not None and not split.is_pure_symmetrizable:
         raise NotSymmetrizable("energy centrality requires a symmetrizable graph")
-    a = np.asarray(amps.a)
+    a = np.asarray(a)
     if a.shape != sd.eigenvalues.shape:
         raise DimensionMismatch("amplitude length does not match mode count")
     weights = sd.eigenvalues.clip(min=0.0) * np.abs(a) ** 2
@@ -253,9 +239,7 @@ def node_energy(
 def degree_centrality_energy(g: WeightedDigraph) -> EnergyReport:
     """Energy under unit amplitude in every mode: diag(S0)/2, the degree/2 law."""
     split, sd = spectral_decomposition(g)
-    if not split.is_pure_symmetrizable:
-        raise NotSymmetrizable("energy centrality requires a symmetrizable graph")
-    return node_energy(sd, ModalAmplitudes(a=np.ones(g.n)), split=split)
+    return node_energy(sd, np.ones(g.n), split=split)
 
 
 def flaming_indicator(L) -> FlamingIndicator:

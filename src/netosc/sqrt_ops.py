@@ -15,6 +15,7 @@ mode-space operators (Lambda, Omega family) and their node-space counterparts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,20 +129,43 @@ def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
 class OperatorBundle:
     """Mode-space (Lambda/Omega) and node-space (H) operators of one split.
 
-    Omega squares to Lambda and H squares to L; the interaction parts are
-    differences by construction (H_I is *not* a square root of L_I).
+    Lambda, Omega and the eigensystem sd define it; the rest is derived on
+    first read.  Omega squares to Lambda and H squares to L; the interaction
+    parts are differences (H_I is *not* a square root of L_I).
     """
 
     Lambda: np.ndarray
-    Lambda0: np.ndarray
-    LambdaI: np.ndarray
     Omega: np.ndarray
-    Omega0: np.ndarray
-    OmegaI: np.ndarray
-    H: np.ndarray
-    H0: np.ndarray
-    HI: np.ndarray
-    L: np.ndarray
+    sd: SpectralDecomposition
+
+    @cached_property
+    def Omega0(self) -> np.ndarray:
+        return np.diag(np.sqrt(self.sd.eigenvalues.clip(min=0.0)))
+
+    @cached_property
+    def OmegaI(self) -> np.ndarray:
+        return self.Omega - self.Omega0
+
+    def _to_nodes(self, op: np.ndarray) -> np.ndarray:
+        """M^{-1/2} (P op P^T) M^{+1/2}."""
+        m_sqrt = np.sqrt(self.sd.m)
+        return (self.sd.P @ op @ self.sd.P.T) * np.outer(1.0 / m_sqrt, m_sqrt)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self._to_nodes(self.Omega)
+
+    @cached_property
+    def H0(self) -> np.ndarray:
+        return self._to_nodes(self.Omega0)
+
+    @cached_property
+    def HI(self) -> np.ndarray:
+        return self.H - self.H0
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return self._to_nodes(self.Lambda)
 
 
 def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBundle:
@@ -150,38 +174,10 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBund
     # ||S0||_F = ||lam||_2 since S0 = P diag(lam) P^T with P orthogonal
     if lam.min() < -ZERO_EIG_REL_TOL * np.linalg.norm(lam):
         raise SqrtUndefined(lam.min(), "negative symmetrizable eigenvalue")
-    Lambda0 = np.diag(lam.clip(min=0.0))
     LambdaI = np.asarray(LambdaI)
-    Lambda = Lambda0 + LambdaI
-    Omega0 = np.diag(np.sqrt(lam.clip(min=0.0)))
-    if np.any(LambdaI):
-        Omega = principal_sqrt(Lambda)
-    else:
-        Omega = Omega0.copy()
-    OmegaI = Omega - Omega0
-
-    m_sqrt = np.sqrt(sd.weights.m)
-    P = sd.P
-
-    def to_nodes(op):
-        # M^{-1/2} (P op P^T) M^{+1/2}
-        return (P @ op @ P.T) * np.outer(1.0 / m_sqrt, m_sqrt)
-
-    H = to_nodes(Omega)
-    H0 = to_nodes(Omega0)
-    L = to_nodes(Lambda)
-    return OperatorBundle(
-        Lambda=Lambda,
-        Lambda0=Lambda0,
-        LambdaI=LambdaI,
-        Omega=Omega,
-        Omega0=Omega0,
-        OmegaI=OmegaI,
-        H=H,
-        H0=H0,
-        HI=H - H0,
-        L=L,
-    )
+    Lambda = np.diag(lam.clip(min=0.0)) + LambdaI
+    Omega = principal_sqrt(Lambda) if np.any(LambdaI) else np.diag(np.sqrt(lam.clip(min=0.0)))
+    return OperatorBundle(Lambda=Lambda, Omega=Omega, sd=sd)
 
 
 def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:

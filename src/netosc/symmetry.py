@@ -19,20 +19,13 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SymmetrizationWeights:
-    """Per-node weights m with m_i w_ij = m_j w_ji, normalized to min(m) = 1."""
-
-    m: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of the symmetrized form S0 = M^{1/2} L0 M^{-1/2}."""
 
     S0: np.ndarray
     eigenvalues: np.ndarray      # ascending, eigenvalues[0] ~ 0
     P: np.ndarray                # orthogonal, columns are eigenvectors
-    weights: SymmetrizationWeights
+    m: np.ndarray                # symmetrizing node weights
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class LaplacianSplit:
 
     L0: np.ndarray
     LI: np.ndarray
-    weights: SymmetrizationWeights
+    m: np.ndarray
 
     @property
     def is_pure_symmetrizable(self) -> bool:
@@ -52,8 +45,8 @@ def _reciprocal_weight_table(g: WeightedDigraph) -> dict[tuple[int, int], float]
     return {(s, d): w for s, d, w in g.edges}
 
 
-def check_symmetrizable(g: WeightedDigraph) -> SymmetrizationWeights:
-    """Find symmetrizing weights m, or raise NotSymmetrizable.
+def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
+    """Symmetrizing weights m, normalized to min(m) = 1, or raise NotSymmetrizable.
 
     m is propagated over a spanning forest of the reciprocal-link structure
     (root weight 1), then every edge is checked for the detailed-balance
@@ -93,7 +86,7 @@ def check_symmetrizable(g: WeightedDigraph) -> SymmetrizationWeights:
         m /= m.min()
     if not np.all(np.isfinite(m)):
         raise NumericalFailure("symmetrizing weights m fall outside the float range")
-    return SymmetrizationWeights(m=m)
+    return m
 
 
 def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
@@ -105,8 +98,7 @@ def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
     """
     _, _, L = build_matrices(g)
     try:
-        weights = check_symmetrizable(g)
-        return LaplacianSplit(L0=L, LI=np.zeros_like(L), weights=weights)
+        return LaplacianSplit(L0=L, LI=np.zeros_like(L), m=check_symmetrizable(g))
     except NotSymmetrizable:
         pass
 
@@ -116,7 +108,7 @@ def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
         wji = w.get((d, s), 0.0)
         A0[s, d] = min(wij, wji)
     L0 = np.diag(A0.sum(axis=1)) - A0
-    return LaplacianSplit(L0=L0, LI=L - L0, weights=SymmetrizationWeights(m=np.ones(g.n)))
+    return LaplacianSplit(L0=L0, LI=L - L0, m=np.ones(g.n))
 
 
 def _fix_signs(P: np.ndarray) -> np.ndarray:
@@ -129,13 +121,13 @@ def _fix_signs(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _similarity(X: np.ndarray, weights: SymmetrizationWeights) -> np.ndarray:
+def _similarity(X: np.ndarray, m: np.ndarray) -> np.ndarray:
     """M^{1/2} X M^{-1/2}, row scaling first, as broadcast products."""
-    m_sqrt = np.sqrt(weights.m)
+    m_sqrt = np.sqrt(m)
     return (m_sqrt[:, None] * X) * (1.0 / m_sqrt)
 
 
-def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomposition:
+def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (symmetric by construction).
 
     An asymmetry above DEFAULT_TOL * max|S0| raises NumericalFailure.
@@ -144,9 +136,9 @@ def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomp
     if not np.any(L0):
         # empty symmetrizable part: any orthonormal basis works, pick identity
         return SpectralDecomposition(
-            S0=np.zeros((n, n)), eigenvalues=np.zeros(n), P=np.eye(n), weights=weights
+            S0=np.zeros((n, n)), eigenvalues=np.zeros(n), P=np.eye(n), m=m
         )
-    S0 = _similarity(L0, weights)
+    S0 = _similarity(L0, m)
     asym = np.abs(S0 - S0.T).max()
     if asym > DEFAULT_TOL * np.abs(S0).max():
         raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
@@ -155,13 +147,13 @@ def symmetrize(L0: np.ndarray, weights: SymmetrizationWeights) -> SpectralDecomp
         lam, P = np.linalg.eigh(S0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(S0=S0, eigenvalues=lam, P=_fix_signs(P), weights=weights)
+    return SpectralDecomposition(S0=S0, eigenvalues=lam, P=_fix_signs(P), m=m)
 
 
 def spectral_decomposition(g: WeightedDigraph):
     """Convenience: split the graph and eigendecompose its symmetrizable part."""
     split = decompose_laplacian(g)
-    return split, symmetrize(split.L0, split.weights)
+    return split, symmetrize(split.L0, split.m)
 
 
 def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
@@ -169,7 +161,7 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (sd.P.shape[0],):
         raise DimensionMismatch(f"state length {x.shape} vs n={sd.P.shape[0]}")
-    return sd.P.T @ (np.sqrt(sd.weights.m) * x)
+    return sd.P.T @ (np.sqrt(sd.m) * x)
 
 
 def from_modes(psi: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
@@ -177,11 +169,11 @@ def from_modes(psi: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (sd.P.shape[0],):
         raise DimensionMismatch(f"mode length {psi.shape} vs n={sd.P.shape[0]}")
-    return (sd.P @ psi) / np.sqrt(sd.weights.m)
+    return (sd.P @ psi) / np.sqrt(sd.m)
 
 
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
-    return sd.P.T @ _similarity(LI, sd.weights) @ sd.P
+    return sd.P.T @ _similarity(LI, sd.m) @ sd.P

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netosc
-from netosc import _blas, from_edges
+from netosc import _blas, from_edges, sqrt_ops
 from netosc.cli import COMMANDS, build_parser, run
 from netosc.errors import NumericalFailure
 
@@ -168,6 +168,21 @@ def test_fundamental_and_product_form(graph_file, capsys):
     assert report["sup_gap_vs_direct"] <= 1e-5
 
 
+def test_fundamental_builds_no_node_space_operator(graph_file, capsys, monkeypatch):
+    bundles, build_bundle = [], sqrt_ops.build_bundle
+
+    def recording_build_bundle(*args):
+        bundles.append(build_bundle(*args))
+        return bundles[-1]
+
+    monkeypatch.setattr(sqrt_ops, "build_bundle", recording_build_bundle)
+    code, _ = run_json(capsys, ["fundamental", "--input", graph_file(path3()), "--t-end", "1"])
+    assert code == 0
+    (bundle,) = bundles
+    assert not {"H", "H0", "HI", "L"} & set(vars(bundle))
+    assert bundle.H.shape == (3, 3) and "H" in vars(bundle)   # derived on first read
+
+
 def test_doubled_report(graph_file, capsys):
     code, report = run_json(
         capsys, ["doubled", "--input", graph_file(star4()), "--t-end", "1"]
@@ -227,8 +242,16 @@ def test_infinite_weight_exit_code(tmp_path, capsys, command):
         ["--x0", "1,x,0"],
         ["--x0", "nan,0"],
         ["--t-end", "1e6", "--dt", "1e-9"],
+        ["--seed", "-1"],
     ],
-    ids=["dt-zero", "t-end-negative", "x0-not-a-number", "x0-not-finite", "grid-too-long"],
+    ids=[
+        "dt-zero",
+        "t-end-negative",
+        "x0-not-a-number",
+        "x0-not-finite",
+        "grid-too-long",
+        "seed-negative",
+    ],
 )
 def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -236,6 +259,27 @@ def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert json.loads(err.splitlines()[-1])["error"] == "Usage"
+
+
+def test_negative_seed_is_usage_error_for_verify(graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--input", graph_file(sym2()), "--seed", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.splitlines()[-1])["error"] == "Usage"
+
+
+@pytest.mark.parametrize("t_end, rows", [("0", 1), ("0.001", 2)])
+@pytest.mark.parametrize("command", ["fundamental", "verify"])
+def test_grid_too_short_for_the_residual_fails_with_one_line(
+    graph_file, capsys, command, t_end, rows
+):
+    # one or two grid rows leave the centered second difference empty
+    code = run([command, "--input", graph_file(star4()), "--t-end", t_end])
+    assert code == 4
+    report = single_error_line(capsys)
+    assert report["error"] == "GridMismatch"
+    assert report["detail"].endswith(f"got {rows}")
 
 
 def test_directory_input_exit_code(tmp_path, capsys):

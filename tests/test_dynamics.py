@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netosc import (
-    ModalAmplitudes,
     build_bundle,
     build_matrices,
     degree_centrality_energy,
@@ -178,7 +177,7 @@ def test_first_order_solvers_reject_an_unknown_sign(sign):
 def test_node_energy_star_unit_amplitudes():
     g = star4()
     split, sd = spectral_decomposition(g)
-    report = node_energy(sd, ModalAmplitudes(np.ones(4)), split=split)
+    report = node_energy(sd, np.ones(4), split=split)
     assert np.allclose(report.per_node, [1.5, 0.5, 0.5, 0.5], atol=1e-9)
     assert abs(report.per_node.sum() - report.total) <= 1e-9
 
@@ -186,7 +185,7 @@ def test_node_energy_star_unit_amplitudes():
 def test_node_energy_zero_amplitudes(rng):
     g = random_symmetric_graph(rng, 5)
     _, sd = spectral_decomposition(g)
-    report = node_energy(sd, ModalAmplitudes(np.zeros(5)))
+    report = node_energy(sd, np.zeros(5))
     assert report.total == 0.0
     assert not np.any(report.per_node)
 
@@ -196,7 +195,7 @@ def test_node_energy_single_mode(rng):
     _, sd = spectral_decomposition(g)
     a = np.zeros(6)
     a[3] = 1.0
-    report = node_energy(sd, ModalAmplitudes(a))
+    report = node_energy(sd, a)
     lam = sd.eigenvalues[3]
     assert np.allclose(report.per_node, 0.5 * lam * sd.P[:, 3] ** 2, atol=1e-12)
     assert abs(report.total - 0.5 * lam) <= 1e-12
