@@ -61,14 +61,15 @@ def _vector(text):
     return vec
 
 
-def _add_common(sub, multi_input=False):
-    if multi_input:
+def _add_common(sub, name):
+    if name == "verify":
         sub.add_argument("--input", required=True, nargs="+", help="edge-list file(s)")
     else:
         sub.add_argument("--input", required=True, help="edge-list file")
     sub.add_argument("--t-end", type=_nonnegative, default=10.0)
     sub.add_argument("--dt", type=_positive, default=1e-3)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if name in ("simulate", "fundamental", "product-form", "doubled"):  # they export CSV
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=_seed, default=0)
 
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub, multi_input=name == "verify")
+        _add_common(sub, name)
         if name == "sqrt":
             sub.add_argument("--dump-operators", action="store_true")
         if name in ("simulate", "doubled"):
@@ -209,7 +210,7 @@ def cmd_product_form(args):
     bundle = _bundle_for_graph(g)
     psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj, traj_I = dynamics.product_form_solve(
-        bundle.Omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
+        bundle.omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
     direct = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
@@ -218,17 +219,6 @@ def cmd_product_form(args):
     if args.format == "csv":
         return traj.to_csv()
     return {"sign": args.sign, "sup_gap_vs_direct": gap, "final_state": traj.states[-1]}
-
-
-def _theorem1(L, op, x0, v0, args):
-    """Theorem 1 run: lift (x0, v0), step the structured operator and return its
-    branch sum x+ + x- = sqrt2 s with the sup gap to the RK4 wave run."""
-    x_hat0 = doubled.lift_initial_conditions(op.factors, x0, v0)
-    run = doubled.sum_difference_run(op, x_hat0, t_end=args.t_end, dt=args.dt)
-    s = np.sqrt(2.0) * run.states[:, : len(x0)]
-    wave = dynamics.integrate_wave(L, x0, v0, t_end=args.t_end, dt=args.dt)
-    gap = float(np.abs(s[: len(wave.states)] - wave.states).max())
-    return dynamics.Trajectory(times=run.times, states=s), gap
 
 
 def cmd_doubled(args):
@@ -240,11 +230,13 @@ def cmd_doubled(args):
     if args.format == "csv":
         x_hat0 = doubled.lift_initial_conditions(f, x0, v0)
         return doubled.integrate_doubled(op, x_hat0, t_end=args.t_end, dt=args.dt).to_csv()
-    branch, gap = _theorem1(graph.laplacian(g), op, x0, v0, args)
+    branch_sum, gap, _ = doubled.theorem1_checks(
+        op, graph.laplacian(g), x0, v0, t_end=args.t_end, dt=args.dt
+    )
     return {
         "sparsity_match": doubled.sparsity_match(op, g),
         "theorem1_gap": gap,
-        "final_branch_sum": branch.states[-1].astype(complex),
+        "final_branch_sum": branch_sum.astype(complex),
     }
 
 
@@ -277,8 +269,9 @@ def verify_graph(path, args) -> dict:
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(g.n)
     v0 = rng.standard_normal(g.n)
-    branch, theorem1_gap = _theorem1(L, op, x0, v0, args)
-    eq22 = dynamics.second_order_residual(branch, L)
+    _, theorem1_gap, eq22 = doubled.theorem1_checks(
+        op, L, x0, v0, t_end=args.t_end, dt=args.dt, eq22=True
+    )
     eq26 = doubled.projection_identity_check(op, rng.standard_normal((100, 2 * g.n)))
     return {
         "input": os.path.basename(path),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
+from . import _blas, dynamics
 from .dynamics import Trajectory, _grid, _propagate
 from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
@@ -110,23 +110,77 @@ def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
     return np.diag(f.d_sqrt**2) - f.d_sqrt[:, None] * f.Ha
 
 
-def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
-    """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt);
-    an x_hat0 that is not lifted takes a second run on the imaginary part of (s, w)."""
+def _sum_difference_step(op: StructuredOperator, x_hat0, dt):
+    """The real step expm(G dt), G = [[0, Hd], [Ha - Hd, 0]], and x_hat0 rotated into (s, w)."""
     x = np.asarray(x_hat0, dtype=complex)
     if x.shape != (op.matrix.shape[0],):
         raise DimensionMismatch("doubled state length does not match operator")
     Hd, Ha = np.diag(op.factors.d_sqrt), op.factors.Ha
     step = _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
     y0 = np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
+    return step, y0
+
+
+def _overflow(times, cut) -> NumericalFailure:
+    return NumericalFailure(f"doubled state overflow at t={times[cut]:.12g}")
+
+
+def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+    """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt);
+    an x_hat0 that is not lifted takes a second run on the imaginary part of (s, w)."""
+    step, y0 = _sum_difference_step(op, x_hat0, dt)
     times = _grid(t_end, dt)
     states = _propagate(step, y0.real, times)
     if y0.imag.any():
         imag = _propagate(step, y0.imag, times)
         states = states[: len(imag)] + 1j * imag[: len(states)]
     if len(states) < len(times):
-        raise NumericalFailure(f"doubled state overflow at t={times[len(states)]:.12g}")
+        raise _overflow(times, len(states))
     return Trajectory(times, states)
+
+
+def theorem1_checks(op: StructuredOperator, L, x0, v0, t_end=10.0, dt=1e-3, eq22=False):
+    """Theorem 1 from (x0, v0), storing no trajectory: the structured run and the RK4
+    wave run advance together a slab at a time (dynamics._slabs), each slab reduced to
+    per-row values at once.  Returns the final branch sum sqrt2 s, the sup gap
+    |sqrt2 s - x| over the rows both runs cover and, if eq22, second_order_residual of
+    sqrt2 s under L (else None); fails as sum_difference_run and that residual do."""
+    n, L = len(x0), np.asarray(L, dtype=float)
+    step, y0 = _sum_difference_step(op, lift_initial_conditions(op.factors, x0, v0), dt)
+    times = _grid(t_end, dt)
+    rows, B = len(times), dynamics._block(len(times))
+    structured = dynamics._slabs(step, y0.real, rows)
+    wave = dynamics._slabs(dynamics._wave_step(L, dt), np.concatenate([x0, v0]), rows, slice(n))
+    sizes, wave_sizes, gaps, residuals, head, window = [], [], [], [], [], []
+    for j, ((Y, size), (W, wave_size)) in enumerate(zip(structured, wave)):
+        sizes.append(size)
+        wave_sizes.append(wave_size)
+        # rows past a run's first bad row may overflow here; they are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.sqrt(2.0) * Y[:, :n]
+            gaps.append(np.abs(x[: len(W)] - W[: len(x), :n]).max(axis=1))
+            head, window = (head + [x])[:2], window[-2:] + [x]   # slabs 0, 1; the last three
+            if eq22 and j >= 2:                                  # offset j - 1 of each block
+                residuals.append(dynamics._centered_residual(*window, L, dt))
+        if j == (rows - 1) % B:
+            final_slab = x
+    cut = dynamics._cut(sizes, rows)
+    if cut < rows:
+        raise _overflow(times, cut)
+    gap = float(np.stack(gaps, axis=1).reshape(-1)[: dynamics._cut(wave_sizes, rows)].max())
+    if not eq22:
+        return final_slab[(rows - 1) // B], gap, None
+    dynamics._need_three_rows(rows)
+    # offset 0 reaches back into the previous block, offset B - 1 ahead into the next;
+    # only their interior rows enter the product, as in second_order_residual
+    (first, second), (before, last), K = head, window[-2:], len(head[0])
+    res = np.stack([np.zeros(K), *residuals, np.zeros(K)], axis=1).reshape(-1)
+    r = np.concatenate([np.arange(K) * B, np.arange(K) * B + B - 1])
+    keep = (1 <= r) & (r <= rows - 2)
+    edges = zip((np.roll(last, 1, 0), first, second), (before, last, np.roll(first, -1, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res[r[keep]] = dynamics._centered_residual(*(np.concatenate(e)[keep] for e in edges), L, dt)
+    return final_slab[(rows - 1) // B], gap, float(res[1 : rows - 1].max())
 
 
 def integrate_doubled(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:

@@ -1,10 +1,10 @@
 """Time integration, oscillation energy, and divergence scoring.
 
 Each integrator is a fixed one-step matrix run through one blocked core,
-`_propagate`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
+`_slabs`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
 applied once to the identity) and the exact propagator expm(-+i Omega dt)
-for +-i dpsi/dt = Omega psi.  The first row that is non-finite or exceeds
-OVERFLOW_LIMIT in modulus ends a run.
+for +-i dpsi/dt = Omega psi; `_propagate` collects its slabs.  The first row
+that is non-finite or exceeds OVERFLOW_LIMIT in modulus ends a run.
 """
 
 from __future__ import annotations
@@ -83,35 +83,62 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _propagate(step, y0, times, watch=slice(None)):
-    """Rows step^k y0 for every grid point, cut before the first bad row.
+def _block(rows):
+    """Block length B ~ sqrt(rows) of the slabs: rows kB + j, 0 <= j < B."""
+    return math.isqrt(rows - 1) + 1
 
-    A row k >= 1 is bad when its `watch` components are non-finite or exceed
-    OVERFLOW_LIMIT in modulus.  Rows are filled in blocks of B ~ sqrt(N): the
-    block starts advance by step^B, then one GEMM per offset j fills row
-    kB + j of every block k at once, so Python runs O(sqrt N) times, not N.
+
+def _slabs(step, y0, rows, watch=slice(None)):
+    """Yield the rows step^k y0, k < rows, as B ~ sqrt(rows) slabs with their sizes.
+
+    Slab j is a (K, dim) array holding row kB + j of every block k; its size is
+    each row's largest `watch` component in modulus.  The block starts advance
+    by step^B, then one GEMM per offset gives the next slab, so Python runs
+    O(sqrt rows) times, not rows.  A bad block start (see _cut) ends the blocks.
     """
-    rows = len(times)
-    B = math.isqrt(rows - 1) + 1
-    dtype = np.result_type(step, y0)
+    B = _block(rows)
+    # np.errstate is a context variable: scoped per statement, it cannot leak
+    # into the caller's code while the generator is suspended at a yield
     with np.errstate(over="ignore", invalid="ignore"):
         leap = np.linalg.matrix_power(step, B)
-        starts = [np.asarray(y0, dtype=dtype)]
+        starts = [np.asarray(y0, dtype=np.result_type(step, y0))]
         while len(starts) * B < rows:
             starts.append(leap @ starts[-1])
             # a bad block start bounds the first bad row: later blocks are moot
             if not np.abs(starts[-1][watch]).max() <= OVERFLOW_LIMIT:
                 break
         Y = np.array(starts)
-        out = np.empty((len(Y), B, len(y0)), dtype=dtype)
-        size = np.empty((len(Y), B))
-        for j in range(B):
-            out[:, j] = Y
-            size[:, j] = np.abs(Y[:, watch]).max(axis=1)
-            Y = Y @ step.T
-    size = size.reshape(-1)[1:rows]
+    for j in range(B):
+        yield Y, np.abs(Y[:, watch]).max(axis=1)
+        if j + 1 < B:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y = Y @ step.T
+
+
+def _cut(sizes, rows):
+    """Rows before the first row k >= 1 whose size (one column per slab) is
+    non-finite or exceeds OVERFLOW_LIMIT; rows when there is none."""
+    size = np.stack(sizes, axis=1).reshape(-1)[1:rows]
     bad = np.flatnonzero(~(size <= OVERFLOW_LIMIT))
-    return out.reshape(-1, len(y0))[: 1 + bad[0] if len(bad) else rows]
+    return 1 + int(bad[0]) if len(bad) else rows
+
+
+def _propagate(step, y0, times, watch=slice(None)):
+    """Rows step^k y0 for every grid point, cut before the first bad row."""
+    rows, sizes = len(times), []
+    for j, (Y, size) in enumerate(_slabs(step, y0, rows, watch)):
+        if not j:
+            out = np.empty((len(Y), _block(rows), len(y0)), dtype=Y.dtype)
+        out[:, j] = Y
+        sizes.append(size)
+    return out.reshape(-1, len(y0))[: _cut(sizes, rows)]
+
+
+def _wave_step(L, dt):
+    """RK4 step of the (x, v) system for d^2x/dt^2 = -Lx: its stages applied once to I."""
+    n = L.shape[0]
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
+    return _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
 
 
 def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
@@ -127,10 +154,8 @@ def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (n,) or v0.shape != (n,):
         raise DimensionMismatch("state length does not match L")
-    A = np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
-    step = _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
     times = _grid(t_end, dt)
-    states = _propagate(step, np.concatenate([x0, v0]), times, watch=slice(n))
+    states = _propagate(_wave_step(L, dt), np.concatenate([x0, v0]), times, watch=slice(n))
     meta = {"velocities": states[:, n:]}
     if len(states) < len(times):
         meta["diverged_at"] = times[len(states)]
@@ -165,14 +190,17 @@ def superpose(traj_plus: Trajectory, traj_minus: Trajectory, c_plus, c_minus) ->
     )
 
 
-def product_form_solve(Omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
+def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     """Interaction-picture factorization psi(t) = Psi0(t) psiI(t).
 
-    Psi0(t) is the diagonal free propagator with Psi0(0) = I; psiI obeys
-    +-i dpsiI/dt = (Psi0(-t) OmegaI Psi0(t)) psiI and is advanced by RK4.
+    Psi0(t) = diag(exp(-+i omega0 t)) is the free propagator of the root
+    frequencies omega0, a vector; psiI obeys +-i dpsiI/dt = (Psi0(-t) OmegaI
+    Psi0(t)) psiI and is advanced by RK4.
     Returns (full trajectory psi, interaction trajectory psiI).
     """
-    omega0 = np.diag(np.asarray(Omega0, dtype=complex)).copy()
+    omega0 = np.asarray(omega0, dtype=complex)
+    if omega0.ndim != 1:
+        raise DimensionMismatch(f"omega0 must be a vector, got shape {omega0.shape}")
     OmegaI = np.asarray(OmegaI, dtype=complex)
     psiI = np.asarray(psiI0, dtype=complex)
     if psiI.shape != (len(omega0),) or OmegaI.shape != (len(omega0), len(omega0)):
@@ -198,14 +226,22 @@ def second_order_residual(traj: Trajectory, Lambda) -> float:
     """Max relative centered-difference residual of psi'' = -Lambda psi (>= 3 rows)."""
     Lambda = np.asarray(Lambda)
     psi = traj.states
-    if len(psi) < 3:
-        raise GridMismatch(f"the second-order residual needs 3 grid rows, got {len(psi)}")
-    dt = traj.dt
-    acc = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dt**2
-    forcing = psi[1:-1] @ Lambda.T
+    _need_three_rows(len(psi))
+    return float(_centered_residual(psi[:-2], psi[1:-1], psi[2:], Lambda, traj.dt).max())
+
+
+def _need_three_rows(rows):
+    if rows < 3:
+        raise GridMismatch(f"the second-order residual needs 3 grid rows, got {rows}")
+
+
+def _centered_residual(prev, cur, nxt, Lambda, dt):
+    """Per-row relative residual of psi'' = -Lambda psi at the rows cur, whose
+    neighbours one step back and ahead are the rows prev and nxt."""
+    acc = (nxt - 2 * cur + prev) / dt**2
+    forcing = cur @ Lambda.T
     num = np.linalg.norm(acc + forcing, axis=1)
-    den = np.maximum(1.0, np.linalg.norm(forcing, axis=1))
-    return float((num / den).max())
+    return num / np.maximum(1.0, np.linalg.norm(forcing, axis=1))
 
 
 def wave_energy_series(traj: Trajectory, sd: SpectralDecomposition) -> np.ndarray:

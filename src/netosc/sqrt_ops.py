@@ -139,8 +139,12 @@ class OperatorBundle:
     sd: SpectralDecomposition
 
     @cached_property
+    def omega0(self) -> np.ndarray:                # the root frequencies
+        return np.sqrt(self.sd.eigenvalues.clip(min=0.0))
+
+    @cached_property
     def Omega0(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.sd.eigenvalues.clip(min=0.0)))
+        return np.diag(self.omega0)
 
     @cached_property
     def OmegaI(self) -> np.ndarray:

@@ -193,7 +193,7 @@ def test_criterion_7_product_form_equivalence():
         _, b = bundle_for(g)
         psi0 = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
         for sign in "+-":
-            traj, _ = product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)
+            traj, _ = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)
             direct = integrate_fundamental(b.Omega, psi0, sign, t_end=5.0, dt=1e-3)
             worst = max(worst, float(np.abs(traj.states - direct.states).max()))
     assert worst <= 1e-5

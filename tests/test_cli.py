@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import netosc
 from netosc import _blas, from_edges, sqrt_ops
-from netosc.cli import COMMANDS, build_parser, run
+from netosc.cli import COMMANDS, build_parser, run, verify_graph
 from netosc.errors import NumericalFailure
 
 from conftest import (
@@ -347,6 +348,13 @@ def test_ring3_long_first_order_run_fails_with_one_line(graph_file, capsys, comm
     assert single_error_line(capsys) == {"error": "NumericalFailure", "detail": detail}
 
 
+def test_ring3_doubled_run_that_overflows_on_its_last_row_fails(graph_file, capsys):
+    code = run(["doubled", "--input", graph_file(ring3()), "--t-end", "84.57", "--dt", "1e-2"])
+    assert code == 3
+    detail = RING3_OVERFLOW["doubled"]
+    assert single_error_line(capsys) == {"error": "NumericalFailure", "detail": detail}
+
+
 @pytest.mark.parametrize("text", ["", "# no edges\n\n"], ids=["empty", "comments-only"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_empty_graph_exit_code(tmp_path, capsys, command, text):
@@ -373,6 +381,36 @@ def test_tol_flag_is_usage_error(graph_file, capsys):
         run(["spectrum", "--input", graph_file(sym2()), "--tol", "1e-6"])
     assert exc.value.code == 1
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "Usage"
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_format_flag_is_usage_error_where_nothing_is_exported(graph_file, capsys, command):
+    # these commands once took --format csv and printed JSON all the same
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--input", graph_file(ring3()), "--format", "csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1])["error"] == "Usage"
+
+
+@pytest.mark.parametrize("command", ["verify", "doubled"])
+def test_theorem1_checks_store_no_trajectory(graph_file, command):
+    g = random_digraph(np.random.default_rng(3), 60)
+    path = graph_file(g)
+    args = build_parser().parse_args([command, "--input", path])
+    check = (lambda: verify_graph(path, args)) if command == "verify" else (
+        lambda: COMMANDS["doubled"](args)
+    )
+    check()                              # scipy loads outside the measurement
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one [s | w] trajectory of the default grid: rows * 2n float64
+    assert peak < 10_001 * 2 * g.n * 8
 
 
 @pytest.mark.parametrize("closure", [5e-10, 9e-10])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netosc import build_matrices, from_edges, integrate_wave
@@ -21,9 +21,10 @@ from netosc.doubled import (
     sparse_factors,
     sparsity_match,
     sum_difference_run,
+    theorem1_checks,
 )
 from netosc.dynamics import Trajectory, _grid, _propagate, second_order_residual
-from netosc.errors import DimensionMismatch, ZeroDegreeNode
+from netosc.errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
 from conftest import (
@@ -32,6 +33,7 @@ from conftest import (
     k3,
     kron_laplacian,
     path5,
+    random_detailed_balance_graph,
     random_digraph,
     star4,
     sym2,
@@ -355,3 +357,52 @@ def test_theorem1_gap_falls_at_rk4_order(seed, n):
     gaps = [theorem1_gap(g, x0, v0, 16 / scale, 0.08 / scale / 2**k) for k in range(4)]
     ratios = np.divide(gaps[:-1], gaps[1:])
     assert np.all((12 <= ratios) & (ratios <= 20)), ratios
+
+
+def stored_theorem1_checks(op, L, x0, v0, t_end, dt):
+    """theorem1_checks from the stored runs: final branch sum, gap, eq22, wave rows."""
+    run = sum_difference_run(op, lift_initial_conditions(op.factors, x0, v0), t_end, dt)
+    s = np.sqrt(2.0) * run.states[:, : len(x0)]
+    wave = integrate_wave(L, x0, v0, t_end=t_end, dt=dt)
+    gap = np.abs(s[: len(wave.states)] - wave.states).max()
+    return s[-1], gap, second_order_residual(Trajectory(run.times, s), L), len(wave.states)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    # 3 and 4 rows, a perfect square, square + 1, a prime and the default grid
+    rows=st.sampled_from([3, 4, 49, 50, 97, 10_001]),
+    balanced=st.booleans(),
+    stiff=st.booleans(),
+)
+@example(seed=1, n=40, rows=10_001, balanced=True, stiff=False)     # both runs end well
+@example(seed=1, n=12, rows=10_001, balanced=True, stiff=True)      # the wave run diverges
+@example(seed=1, n=12, rows=10_001, balanced=False, stiff=False)    # the structured run overflows
+def test_streamed_theorem1_checks_match_the_stored_runs(seed, n, rows, balanced, stiff):
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
+    L = build_matrices(g)[2]
+    op = hat_H_structured(sparse_factors(g))
+    x0, v0 = rng.standard_normal(n), rng.standard_normal(n)
+    # dt * omega_max = 4 is outside RK4's stability interval (|z| <= 2.83), so a stiff
+    # wave run diverges within a few dozen rows while the exact structured run does not
+    dt = (4.0 if stiff else 0.05) / np.sqrt(np.abs(np.linalg.eigvals(L)).max())
+    t_end = (rows - 1) * dt
+    try:
+        want_final, want_gap, want_eq22, wave_rows = stored_theorem1_checks(
+            op, L, x0, v0, t_end, dt
+        )
+    except NumericalFailure as want:
+        with pytest.raises(NumericalFailure) as got:
+            theorem1_checks(op, L, x0, v0, t_end, dt, eq22=True)
+        assert str(got.value) == str(want)
+        return
+    if balanced and stiff and rows > 40:
+        assert wave_rows < rows
+    final, gap, eq22 = theorem1_checks(op, L, x0, v0, t_end, dt, eq22=True)
+    assert np.abs(final - want_final).max() <= 1e-12 * np.abs(want_final).max()
+    assert abs(gap - want_gap) <= 1e-12 * want_gap
+    assert abs(eq22 - want_eq22) <= 1e-12 * want_eq22
+    assert theorem1_checks(op, L, x0, v0, t_end, dt)[2] is None

@@ -148,7 +148,7 @@ def test_product_form_free_case(rng):
     g = random_symmetric_graph(rng, 5)
     _, b = bundle_for(g)
     psi0 = rng.standard_normal(5).astype(complex)
-    traj, traj_I = product_form_solve(b.Omega0, b.OmegaI, psi0, "+", t_end=1.0, dt=1e-3)
+    traj, traj_I = product_form_solve(b.omega0, b.OmegaI, psi0, "+", t_end=1.0, dt=1e-3)
     assert np.abs(traj_I.states - psi0).max() <= 1e-12
     assert np.allclose(traj.states[0], psi0)
 
@@ -158,9 +158,16 @@ def test_product_form_matches_direct(rng):
     _, b = bundle_for(g)
     psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for sign in "+-":
-        traj, _ = product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)
+        traj, _ = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)
         direct = integrate_fundamental(b.Omega, psi0, sign, t_end=5.0, dt=1e-3)
         assert np.abs(traj.states - direct.states).max() <= 1e-5
+
+
+def test_product_form_rejects_a_matrix_of_root_frequencies():
+    # a dense Omega0 was once accepted and all but its diagonal silently dropped
+    _, b = bundle_for(ring3())
+    with pytest.raises(DimensionMismatch):
+        product_form_solve(b.Omega0, b.OmegaI, np.ones(3, dtype=complex), t_end=0.1, dt=1e-2)
 
 
 @pytest.mark.parametrize("sign", ["plus", "", "+-", None])
@@ -171,7 +178,7 @@ def test_first_order_solvers_reject_an_unknown_sign(sign):
     with pytest.raises(ValueError, match="sign must be"):
         integrate_fundamental(b.Omega, psi0, sign, t_end=0.1, dt=1e-2)
     with pytest.raises(ValueError, match="sign must be"):
-        product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=0.1, dt=1e-2)
+        product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=0.1, dt=1e-2)
 
 
 def test_node_energy_star_unit_amplitudes():
@@ -344,7 +351,7 @@ def test_product_form_matches_stepwise_rk4(rng):
     _, b = bundle_for(g)
     psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for sign in "+-":
-        traj, traj_I = product_form_solve(b.Omega0, b.OmegaI, psi0, sign, t_end=2.0, dt=1e-3)
+        traj, traj_I = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=2.0, dt=1e-3)
         want, want_I = product_form_reference(b.Omega0, b.OmegaI, psi0, sign, 2.0, 1e-3)
         assert np.abs(traj.states - want).max() <= 1e-10
         assert np.abs(traj_I.states - want_I).max() <= 1e-10
