@@ -31,10 +31,6 @@ class Trajectory:
     states: np.ndarray           # shape (len(times), dim)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
     def to_csv(self) -> str:
         """Header, then t and each node's real and imaginary part, as %.12g."""
         n = self.states.shape[1]
@@ -163,19 +159,23 @@ def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
 
 
 def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Trajectory:
-    """Propagate +-i dpsi/dt = Omega psi, i.e. psi(t) = expm(-+i Omega t) psi0."""
+    """Propagate +-i dpsi/dt = Omega psi, i.e. psi(t) = expm(-+i Omega t) psi0.
+
+    The one-step matrix expm(-+i Omega dt) rides along in meta["step"].
+    """
     Omega = np.asarray(Omega, dtype=complex)
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (Omega.shape[0],):
         raise DimensionMismatch("state length does not match Omega")
     s = _phase(sign)
     times = _grid(t_end, dt)
-    states = _propagate(_blas.linalg().expm(s * Omega * dt), psi, times)
+    step = _blas.linalg().expm(s * Omega * dt)
+    states = _propagate(step, psi, times)
     if len(states) < len(times):
         raise NumericalFailure(
             f"fundamental-equation state overflow at t={times[len(states)]:.12g}"
         )
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=states, meta={"step": step})
 
 
 def superpose(traj_plus: Trajectory, traj_minus: Trajectory, c_plus, c_minus) -> Trajectory:
@@ -222,26 +222,29 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 
 
-def second_order_residual(traj: Trajectory, Lambda) -> float:
-    """Max relative centered-difference residual of psi'' = -Lambda psi (>= 3 rows)."""
-    Lambda = np.asarray(Lambda)
-    psi = traj.states
-    _need_three_rows(len(psi))
-    return float(_centered_residual(psi[:-2], psi[1:-1], psi[2:], Lambda, traj.dt).max())
+def recurrence_residual(step, K, dt) -> float:
+    """Exact eq22 check of a one-step matrix S: ||P(S + S^-1) - 2 C P||_F / (dt^2 ||K||_F).
 
-
-def _need_three_rows(rows):
-    if rows < 3:
-        raise GridMismatch(f"the second-order residual needs 3 grid rows, got {rows}")
-
-
-def _centered_residual(prev, cur, nxt, Lambda, dt):
-    """Per-row relative residual of psi'' = -Lambda psi at the rows cur, whose
-    neighbours one step back and ahead are the rows prev and nxt."""
-    acc = (nxt - 2 * cur + prev) / dt**2
-    forcing = cur @ Lambda.T
-    num = np.linalg.norm(acc + forcing, axis=1)
-    return num / np.maximum(1.0, np.linalg.norm(forcing, axis=1))
+    P keeps the first n = len(K) coordinates and C = cos(sqrt(K) dt) is the top-left
+    block of expm([[0, I], [-K, 0]] dt), built from K alone.  It is 0 exactly when
+    every run of S obeys x(t + dt) + x(t - dt) = 2 C x(t), the three-term recurrence
+    of d^2x/dt^2 = -Kx, so an exact step reads rounding only.  It is the plain norm
+    when dt^2 ||K||_F underflows to 0.  S^-1 is inverted from S: an expm(-G dt) would
+    cancel against expm(G dt) by construction.  A singular S or a non-finite value
+    raises NumericalFailure.
+    """
+    K = np.asarray(K)
+    n = len(K)
+    C = _blas.linalg().expm(np.block([[0 * K, np.eye(n)], [-K, 0 * K]]) * dt)[:n, :n]
+    try:
+        R = (step + np.linalg.inv(step))[:n]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"step matrix inversion failed: {exc}") from exc
+    R[:, :n] -= 2 * C
+    residual = np.linalg.norm(R) / (dt * dt * np.linalg.norm(K) or 1.0)
+    if not np.isfinite(residual):
+        raise NumericalFailure(f"the recurrence residual of the step matrix is {residual}")
+    return float(residual)
 
 
 def wave_energy_series(traj: Trajectory, sd: SpectralDecomposition) -> np.ndarray:

@@ -54,13 +54,6 @@ class WeightedDigraph:
         }
         return json.dumps(payload, sort_keys=True)
 
-    def to_edge_list(self) -> str:
-        """Canonical edge-list text: sorted by dense (src, dst) index."""
-        lines = [
-            f"{self.labels[s]},{self.labels[d]},{w:.12g}" for s, d, w in sorted(self.edges)
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def _build(rows) -> WeightedDigraph:
     """Validate (line_no, raw, fields) rows and build the graph.

@@ -32,8 +32,3 @@ def _normalize(obj):
 def canonical_json(obj) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"))
 
-
-def matrix_payload(mat: np.ndarray) -> list:
-    """Row-major [re, im] pairs for complex/real matrices."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

@@ -22,7 +22,6 @@ DEFAULT_TOL = 1e-9
 class SpectralDecomposition:
     """Eigensystem of the symmetrized form S0 = M^{1/2} L0 M^{-1/2}."""
 
-    S0: np.ndarray
     eigenvalues: np.ndarray      # ascending, eigenvalues[0] ~ 0
     P: np.ndarray                # orthogonal, columns are eigenvectors
     m: np.ndarray                # symmetrizing node weights
@@ -135,9 +134,7 @@ def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
     n = L0.shape[0]
     if not np.any(L0):
         # empty symmetrizable part: any orthonormal basis works, pick identity
-        return SpectralDecomposition(
-            S0=np.zeros((n, n)), eigenvalues=np.zeros(n), P=np.eye(n), m=m
-        )
+        return SpectralDecomposition(eigenvalues=np.zeros(n), P=np.eye(n), m=m)
     S0 = _similarity(L0, m)
     asym = np.abs(S0 - S0.T).max()
     if asym > DEFAULT_TOL * np.abs(S0).max():
@@ -147,7 +144,7 @@ def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
         lam, P = np.linalg.eigh(S0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(S0=S0, eigenvalues=lam, P=_fix_signs(P), m=m)
+    return SpectralDecomposition(eigenvalues=lam, P=_fix_signs(P), m=m)
 
 
 def spectral_decomposition(g: WeightedDigraph):

@@ -31,11 +31,7 @@ from netosc.doubled import (
     sparse_factors,
     sparsity_match,
 )
-from netosc.dynamics import (
-    Trajectory,
-    second_order_residual,
-    wave_energy_series,
-)
+from netosc.dynamics import Trajectory, wave_energy_series
 from netosc.errors import NotSymmetrizable
 from netosc.sqrt_ops import node_sqrt_residual, sqrt_residual
 
@@ -48,6 +44,7 @@ from conftest import (
     random_digraph,
     random_symmetric_graph,
     ring3,
+    second_order_residual,
     star4,
     sym2,
 )

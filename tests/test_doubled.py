@@ -20,14 +20,22 @@ from netosc.doubled import (
     projection_identity_check,
     sparse_factors,
     sparsity_match,
+    structured_step,
     sum_difference_run,
     theorem1_checks,
 )
-from netosc.dynamics import Trajectory, _grid, _propagate, second_order_residual
+from netosc.dynamics import (
+    Trajectory,
+    _grid,
+    _propagate,
+    integrate_fundamental,
+    recurrence_residual,
+)
 from netosc.errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
 from conftest import (
+    bundle_for,
     extract_minus,
     extract_plus,
     k3,
@@ -35,6 +43,8 @@ from conftest import (
     path5,
     random_detailed_balance_graph,
     random_digraph,
+    recurrence_bound,
+    second_order_residual,
     star4,
     sym2,
 )
@@ -360,12 +370,12 @@ def test_theorem1_gap_falls_at_rk4_order(seed, n):
 
 
 def stored_theorem1_checks(op, L, x0, v0, t_end, dt):
-    """theorem1_checks from the stored runs: final branch sum, gap, eq22, wave rows."""
+    """theorem1_checks from the stored runs: final branch sum, gap, wave rows."""
     run = sum_difference_run(op, lift_initial_conditions(op.factors, x0, v0), t_end, dt)
     s = np.sqrt(2.0) * run.states[:, : len(x0)]
     wave = integrate_wave(L, x0, v0, t_end=t_end, dt=dt)
     gap = np.abs(s[: len(wave.states)] - wave.states).max()
-    return s[-1], gap, second_order_residual(Trajectory(run.times, s), L), len(wave.states)
+    return s[-1], gap, len(wave.states)
 
 
 @settings(max_examples=30)
@@ -391,18 +401,64 @@ def test_streamed_theorem1_checks_match_the_stored_runs(seed, n, rows, balanced,
     dt = (4.0 if stiff else 0.05) / np.sqrt(np.abs(np.linalg.eigvals(L)).max())
     t_end = (rows - 1) * dt
     try:
-        want_final, want_gap, want_eq22, wave_rows = stored_theorem1_checks(
-            op, L, x0, v0, t_end, dt
-        )
+        want_final, want_gap, wave_rows = stored_theorem1_checks(op, L, x0, v0, t_end, dt)
     except NumericalFailure as want:
         with pytest.raises(NumericalFailure) as got:
-            theorem1_checks(op, L, x0, v0, t_end, dt, eq22=True)
+            theorem1_checks(op, L, x0, v0, t_end, dt)
         assert str(got.value) == str(want)
         return
     if balanced and stiff and rows > 40:
         assert wave_rows < rows
-    final, gap, eq22 = theorem1_checks(op, L, x0, v0, t_end, dt, eq22=True)
+    final, gap = theorem1_checks(op, L, x0, v0, t_end, dt)
     assert np.abs(final - want_final).max() <= 1e-12 * np.abs(want_final).max()
     assert abs(gap - want_gap) <= 1e-12 * want_gap
-    assert abs(eq22 - want_eq22) <= 1e-12 * want_eq22
-    assert theorem1_checks(op, L, x0, v0, t_end, dt)[2] is None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    balanced=st.booleans(),
+    dt=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]),
+)
+def test_steps_obey_the_three_term_recurrence_up_to_rounding(seed, n, balanced, dt):
+    # eq22 as one operator identity, P(S + S^-1) = 2 cos(sqrt(K) dt) P: the structured
+    # step under L and the fundamental steps U = expm(-+i Omega dt) under Lambda
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
+    L = build_matrices(g)[2]
+    S = structured_step(hat_H_structured(sparse_factors(g)), dt)
+    assert recurrence_residual(S, L, dt) <= recurrence_bound(L, dt)
+    b = bundle_for(g)
+    for sign in "+-":
+        U = integrate_fundamental(b.Omega, np.zeros(n), sign, t_end=0.0, dt=dt).meta["step"]
+        assert recurrence_residual(U, b.Lambda, dt) <= recurrence_bound(b.Lambda, dt)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), balanced=st.booleans())
+def test_a_1e_8_operator_error_fails_the_recurrence_not_the_centered_difference(
+    seed, n, balanced
+):
+    # scale L, Lambda or Omega by 1 + 1e-8: the recurrence residual reads about 1e-8
+    # (2e-8 for Omega), above its rounding bound, while the centered difference of the
+    # same run stays at its O(dt^2) truncation floor, far under its 1e-5 bound
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
+    L, dt, t_end, wrong = build_matrices(g)[2], 1e-3, 1.0, 1 + 1e-8
+    f = sparse_factors(g)
+    op = hat_H_structured(f)
+    x_hat0 = lift_initial_conditions(f, rng.standard_normal(n), rng.standard_normal(n))
+    run = sum_difference_run(op, x_hat0, t_end, dt)
+    branch_sum = Trajectory(run.times, np.sqrt(2.0) * run.states[:, :n])
+    b = bundle_for(g)
+    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fundamental = integrate_fundamental(b.Omega, psi0, "+", t_end, dt)
+    wrong_omega = integrate_fundamental(b.Omega * wrong, psi0, "+", t_end, dt)
+    cases = [
+        (branch_sum, structured_step(op, dt), L * wrong),
+        (fundamental, fundamental.meta["step"], b.Lambda * wrong),
+        (wrong_omega, wrong_omega.meta["step"], b.Lambda),
+    ]
+    for traj, step, K in cases:
+        assert recurrence_residual(step, K, dt) > recurrence_bound(K, dt)
+        assert second_order_residual(traj, K) <= 1e-5

@@ -17,12 +17,12 @@ from netosc import (
     spectral_decomposition,
     superpose,
 )
-from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable
+from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
 from netosc.dynamics import (
     OVERFLOW_LIMIT,
     Trajectory,
     _propagate,
-    second_order_residual,
+    recurrence_residual,
     wave_energy_series,
 )
 
@@ -34,8 +34,10 @@ from conftest import (
     random_digraph,
     random_symmetric_graph,
     ring3,
+    second_order_residual,
     star4,
     sym2,
+    symmetrized_form,
 )
 
 
@@ -135,6 +137,12 @@ def test_superpose_generic_fails_first_order():
     assert first_order_residual(combo, b.Omega, "-") > 1e-3
 
 
+@pytest.mark.parametrize("fill", [0.0, np.inf, np.nan])
+def test_recurrence_residual_of_a_singular_or_non_finite_step_fails(fill):
+    with pytest.raises(NumericalFailure):
+        recurrence_residual(np.full((4, 4), fill), np.eye(2), 1e-3)
+
+
 def test_superpose_grid_mismatch(rng):
     _, b = bundle_for(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
@@ -218,9 +226,10 @@ def test_degree_centrality_complete_graph():
 
 def test_degree_centrality_weighted(rng):
     g = random_symmetric_graph(rng, 7, weighted=True)
-    _, sd = spectral_decomposition(g)
+    split, _ = spectral_decomposition(g)
     report = degree_centrality_energy(g)
-    assert np.allclose(report.per_node, np.diag(sd.S0) / 2, atol=1e-9)
+    S0 = symmetrized_form(split.L0, split.m)
+    assert np.allclose(report.per_node, np.diag(S0) / 2, atol=1e-9)
 
 
 def test_degree_centrality_rejects_one_way():

@@ -14,7 +14,7 @@ from netosc.errors import (
 )
 from netosc.graph import load_edge_list, parse_edge_list
 
-from conftest import random_digraph, ring3
+from conftest import random_digraph, ring3, to_edge_list
 
 
 def test_minimal_two_node_graph():
@@ -105,10 +105,10 @@ def test_laplacian_row_sums_zero(rng):
 
 def test_edge_list_round_trip(tmp_path, rng):
     g = random_digraph(rng, 8)
-    text = g.to_edge_list()
+    text = to_edge_list(g)
     p = tmp_path / "g.csv"
     p.write_text(text)
-    assert load_edge_list(p).to_edge_list() == text
+    assert to_edge_list(load_edge_list(p)) == text
 
 
 def test_json_export_stable():

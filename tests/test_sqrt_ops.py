@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from netosc import build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
-from netosc import from_edges, spectral_decomposition, sqrt_residual
+from netosc import build_matrices, principal_sqrt
+from netosc import from_edges, sqrt_residual
 from netosc.errors import DimensionMismatch, NetoscError, SqrtUndefined
 from netosc.sqrt_ops import _quasi_triangular_sqrt, node_sqrt_residual
 
-from conftest import path5, random_digraph, random_symmetric_graph, ring3, sym2
+from conftest import bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2
 
 
 def eig_sqrt(mat):
@@ -35,11 +35,6 @@ def complex_schur_sqrt(mat):
     if 0 < k < n:
         U[:k, k:] = scipy.linalg.solve_triangular(U[:k, :k], T[:k, k:])
     return Z @ U @ Z.conj().T
-
-
-def bundle_for(g):
-    split, sd = spectral_decomposition(g)
-    return build_bundle(sd, mode_interaction_matrix(split.LI, sd))
 
 
 def test_principal_sqrt_diagonal():
@@ -248,15 +243,10 @@ def test_principal_sqrt_rejects_non_square():
         principal_sqrt(np.ones((2, 3)))
 
 
-def bundle_of(g):
-    split, sd = spectral_decomposition(g)
-    return build_bundle(sd, mode_interaction_matrix(split.LI, sd))
-
-
 def test_sqrt_tolerances_are_relative_below_norm_one():
     # weights of 1e-12 leave every eigenvalue below an absolute 1e-10 floor
     tiny = from_edges([("1", "2", 1e-12), ("2", "3", 1e-12), ("3", "1", 1e-12)])
-    base, small = bundle_of(ring3()), bundle_of(tiny)
+    base, small = bundle_for(ring3()), bundle_for(tiny)
     assert np.allclose(small.Omega, 1e-6 * base.Omega, rtol=1e-9, atol=0)
     assert sqrt_residual(small) <= 1e-12
     assert node_sqrt_residual(small) <= 1e-12

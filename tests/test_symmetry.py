@@ -21,6 +21,7 @@ from conftest import (
     random_symmetric_graph,
     ring3,
     sym2,
+    symmetrized_form,
 )
 
 
@@ -120,7 +121,8 @@ def test_symmetrize_weighted_pair_hand_values():
     _, _, L = build_matrices(g)
     sd = symmetrize(L, m)
     expected_S0 = np.array([[2.0, -np.sqrt(2.0)], [-np.sqrt(2.0), 1.0]])
-    assert np.allclose(sd.S0, expected_S0, atol=1e-12)
+    assert np.allclose(symmetrized_form(L, m), expected_S0, atol=1e-12)
+    assert np.allclose(sd.P @ np.diag(sd.eigenvalues) @ sd.P.T, expected_S0, atol=1e-12)
     assert np.allclose(sd.eigenvalues, [0.0, 3.0], atol=1e-12)
 
 
@@ -176,5 +178,6 @@ def test_conjugation_consistency(rng):
         assert np.allclose(np.diag(sd.eigenvalues) + lam_I, conj, atol=1e-9)
         # spectral sanity
         assert sd.eigenvalues.min() >= -1e-9
-        assert abs(sd.eigenvalues.sum() - np.trace(sd.S0)) <= 1e-9
-        assert np.allclose(sd.P.T @ sd.S0 @ sd.P, np.diag(sd.eigenvalues), atol=1e-9)
+        S0 = symmetrized_form(split.L0, split.m)
+        assert abs(sd.eigenvalues.sum() - np.trace(S0)) <= 1e-9
+        assert np.allclose(sd.P.T @ S0 @ sd.P, np.diag(sd.eigenvalues), atol=1e-9)
