@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import _blas, doubled, dynamics, graph, sqrt_ops, symmetry
-from .errors import NetoscError, NotSymmetrizable
+from .errors import NetoscError, NotSymmetrizable, NumericalFailure
 from .reporting import canonical_json
 
 MAX_STEPS = 10**7
@@ -147,10 +147,10 @@ def cmd_decompose(args):
 
 def cmd_spectrum(args):
     g = graph.load_edge_list(args.input)
-    split, sd = symmetry.spectral_decomposition(g)
+    split = symmetry.decompose_laplacian(g)
     return {
-        "eigenvalues": sd.eigenvalues,
-        "m": sd.m,
+        "eigenvalues": symmetry.symmetrized_eigenvalues(split.L0, split.m),
+        "m": split.m,
         "symmetrizable": split.is_pure_symmetrizable,
     }
 
@@ -222,8 +222,9 @@ def cmd_doubled(args):
     if args.format == "csv":
         x_hat0 = doubled.lift_initial_conditions(f, x0, v0)
         return doubled.integrate_doubled(op, x_hat0, t_end=args.t_end, dt=args.dt).to_csv()
+    step = doubled.structured_step(op, args.dt)
     branch_sum, gap = doubled.theorem1_checks(
-        op, graph.laplacian(g), x0, v0, t_end=args.t_end, dt=args.dt
+        op, step, graph.laplacian(g), x0, v0, t_end=args.t_end, dt=args.dt
     )
     return {
         "sparsity_match": doubled.sparsity_match(op, g),
@@ -240,7 +241,11 @@ def cmd_centrality(args):
 
 def cmd_flaming(args):
     g = graph.load_edge_list(args.input)
-    ind = dynamics.flaming_indicator(graph.laplacian(g))
+    L = graph.laplacian(g)
+    try:  # a symmetrizable graph's spectrum is real: no general eigensolve
+        ind = dynamics.flaming_indicator(L, symmetry.check_symmetrizable(g))
+    except (NotSymmetrizable, NumericalFailure):
+        ind = dynamics.flaming_indicator(L)
     return {
         "growth_rate": ind.growth_rate,
         "worst_eigenvalue": ind.worst_eigenvalue,
@@ -261,8 +266,9 @@ def verify_graph(path, args) -> dict:
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(g.n)
     v0 = rng.standard_normal(g.n)
-    _, theorem1_gap = doubled.theorem1_checks(op, L, x0, v0, t_end=args.t_end, dt=args.dt)
-    eq22 = dynamics.recurrence_residual(doubled.structured_step(op, args.dt), L, args.dt)
+    step = doubled.structured_step(op, args.dt)
+    _, theorem1_gap = doubled.theorem1_checks(op, step, L, x0, v0, t_end=args.t_end, dt=args.dt)
+    eq22 = dynamics.recurrence_residual(step, L, args.dt)
     eq26 = doubled.projection_identity_check(op, rng.standard_normal((100, 2 * g.n)))
     return {
         "input": os.path.basename(path),

@@ -142,16 +142,17 @@ def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> T
     return Trajectory(times, states)
 
 
-def theorem1_checks(op: StructuredOperator, L, x0, v0, t_end=10.0, dt=1e-3):
-    """Theorem 1 from (x0, v0), storing no trajectory: the structured run and the RK4
-    wave run advance together a slab at a time (dynamics._slabs), each slab reduced to
-    per-row values at once.  Returns the final branch sum sqrt2 s and the sup gap
-    |sqrt2 s - x| over the rows both runs cover; fails as sum_difference_run does."""
+def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=10.0, dt=1e-3):
+    """Theorem 1 from (x0, v0) under step = structured_step(op, dt), storing no
+    trajectory: the structured run and the RK4 wave run advance together a slab at a
+    time (dynamics._slabs), each slab reduced to per-row values at once.  Returns the
+    final branch sum sqrt2 s and the sup gap |sqrt2 s - x| over the rows both runs
+    cover; fails as sum_difference_run does."""
     n, L = len(x0), np.asarray(L, dtype=float)
     y0 = _sum_difference_state(op, lift_initial_conditions(op.factors, x0, v0))
     times = _grid(t_end, dt)
     rows, B = len(times), dynamics._block(len(times))
-    structured = dynamics._slabs(structured_step(op, dt), y0.real, rows)
+    structured = dynamics._slabs(step, y0.real, rows)
     wave = dynamics._slabs(dynamics._wave_step(L, dt), np.concatenate([x0, v0]), rows, slice(n))
     sizes, wave_sizes, gaps = [], [], []
     for j, ((Y, size), (W, wave_size)) in enumerate(zip(structured, wave)):

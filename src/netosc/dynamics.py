@@ -17,7 +17,7 @@ import numpy as np
 from . import _blas
 from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
 from .graph import WeightedDigraph
-from .symmetry import SpectralDecomposition, spectral_decomposition
+from .symmetry import SpectralDecomposition, spectral_decomposition, symmetrized_eigenvalues
 
 OVERFLOW_LIMIT = 1e12
 GROWTH_THRESHOLD = 1e-9            # in units of sqrt(||L||_F)
@@ -134,7 +134,8 @@ def _wave_step(L, dt):
     """RK4 step of the (x, v) system for d^2x/dt^2 = -Lx: its stages applied once to I."""
     n = L.shape[0]
     A = np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
-    return _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step ends the run
+        return _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
 
 
 def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
@@ -213,7 +214,8 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
 
     # Psi0(t + tau) = Psi0(t) Psi0(tau), so the RK4 step from t is the step
     # from 0 conjugated by Psi0(t), and psi = Psi0 psiI advances by a constant
-    step = np.exp(s * omega0 * dt)[:, None] * _rk4_step(rhs, 0.0, np.eye(len(psiI)), dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step ends the run
+        step = np.exp(s * omega0 * dt)[:, None] * _rk4_step(rhs, 0.0, np.eye(len(psiI)), dt)
     times = _grid(t_end, dt)
     states = _propagate(step, psiI, times)
     if len(states) < len(times):
@@ -281,13 +283,15 @@ def degree_centrality_energy(g: WeightedDigraph) -> EnergyReport:
     return node_energy(sd, np.ones(g.n), split=split)
 
 
-def flaming_indicator(L) -> FlamingIndicator:
-    """Divergence score: max |Im sqrt(lambda)| over the Laplacian spectrum."""
+def flaming_indicator(L, m=None) -> FlamingIndicator:
+    """Divergence score: max |Im sqrt(lambda)| over the Laplacian spectrum, eigvals(L);
+    given L's symmetrizing weights m it is eigvalsh of S0 = M^{1/2} L M^{-1/2}, real,
+    taken in descending order so that the worst eigenvalue of a zero rate is the largest."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
         raise DimensionMismatch(f"flaming_indicator needs a nonempty square L, got {L.shape}")
     try:
-        eigs = np.linalg.eigvals(L)
+        eigs = np.linalg.eigvals(L) if m is None else symmetrized_eigenvalues(L, m)[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     # snap eigenvalues within solver rounding of the nonnegative real axis onto

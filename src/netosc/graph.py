@@ -10,6 +10,7 @@ follow the same rules through the same validator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -39,10 +40,16 @@ class WeightedDigraph:
     edges: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...]
 
+    @functools.cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, w) arrays of the edges, in edge order; shared, so never written to."""
+        src, dst, w = np.array(self.edges).T.copy()
+        return src.astype(np.intp), dst.astype(np.intp), w
+
     def adjacency(self) -> np.ndarray:
+        src, dst, w = self.edge_arrays
         A = np.zeros((self.n, self.n))
-        for src, dst, w in self.edges:
-            A[src, dst] = w
+        A[src, dst] = w
         return A
 
     def to_json(self) -> str:

@@ -40,10 +40,6 @@ class LaplacianSplit:
         return not np.any(self.LI)
 
 
-def _reciprocal_weight_table(g: WeightedDigraph) -> dict[tuple[int, int], float]:
-    return {(s, d): w for s, d, w in g.edges}
-
-
 def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
     """Symmetrizing weights m, normalized to min(m) = 1, or raise NotSymmetrizable.
 
@@ -53,35 +49,38 @@ def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
     That bounds |S0_ij - S0_ji| by DEFAULT_TOL * max|S0|, the test symmetrize
     applies.  An m outside the float range raises NumericalFailure.
     """
-    w = _reciprocal_weight_table(g)
-    for (s, d), _ in w.items():
-        if (d, s) not in w:
-            raise NotSymmetrizable("one_way_edge", edge=(g.labels[s], g.labels[d]))
-
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for s, d, _ in g.edges:
-        adj[s].append(d)
-
-    m = np.full(g.n, np.nan)
-    with np.errstate(all="ignore"):
-        for root in range(g.n):
-            if not np.isnan(m[root]):
-                continue
-            m[root] = 1.0
-            stack = [root]
+    src, dst, w = g.edge_arrays
+    # each edge's reverse link, by a sorted-key lookup
+    keys, reverse_keys = src * g.n + dst, dst * g.n + src
+    order = np.argsort(keys)
+    rev = order[np.searchsorted(keys, reverse_keys, sorter=order).clip(max=len(keys) - 1)]
+    one_way = np.flatnonzero(keys[rev] != reverse_keys)
+    if len(one_way):
+        e = one_way[0]
+        raise NotSymmetrizable("one_way_edge", edge=(g.labels[src[e]], g.labels[dst[e]]))
+    w_rev = w[rev]
+    # each node's out-links in edge order, as plain lists for the traversal
+    by_src = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[by_src], np.arange(g.n + 1)).tolist()
+    adj, w_out, w_in = dst[by_src].tolist(), w[by_src].tolist(), w_rev[by_src].tolist()
+    m = [None] * g.n
+    for root in range(g.n):
+        if m[root] is None:
+            m[root], stack = 1.0, [root]
             while stack:
                 i = stack.pop()
-                for j in adj[i]:
-                    if np.isnan(m[j]):
-                        # detailed balance forces m_j = m_i w_ij / w_ji
-                        m[j] = m[i] * w[(i, j)] / w[(j, i)]
-                        stack.append(j)
-
-        for (i, j), wij in w.items():
-            lhs, rhs = m[i] * wij, m[j] * w[(j, i)]
-            if abs(lhs - rhs) > DEFAULT_TOL * max(lhs, rhs):
-                raise NotSymmetrizable("cycle_inconsistent", edge=(g.labels[i], g.labels[j]))
-
+                for k in range(start[i], start[i + 1]):
+                    if m[adj[k]] is None:
+                        # detailed balance forces m_j = m_i w_ij / w_ji; floats overflow to inf
+                        m[adj[k]] = m[i] * w_out[k] / w_in[k]
+                        stack.append(adj[k])
+    m = np.array(m)
+    with np.errstate(all="ignore"):
+        lhs, rhs = m[src] * w, m[dst] * w_rev
+        bad = np.flatnonzero(np.abs(lhs - rhs) > DEFAULT_TOL * np.maximum(lhs, rhs))
+        if len(bad):
+            e = bad[0]
+            raise NotSymmetrizable("cycle_inconsistent", edge=(g.labels[src[e]], g.labels[dst[e]]))
         m /= m.min()
     if not np.all(np.isfinite(m)):
         raise NumericalFailure("symmetrizing weights m fall outside the float range")
@@ -95,29 +94,20 @@ def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
     and each linked pair contributes min(w_ij, w_ji) symmetrically to L0;
     the residual weight goes one-way into LI, so LI = L - L0 entrywise.
     """
-    _, _, L = build_matrices(g)
+    A, _, L = build_matrices(g)
     try:
         return LaplacianSplit(L0=L, LI=np.zeros_like(L), m=check_symmetrizable(g))
     except NotSymmetrizable:
         pass
-
-    w = _reciprocal_weight_table(g)
-    A0 = np.zeros((g.n, g.n))
-    for (s, d), wij in w.items():
-        wji = w.get((d, s), 0.0)
-        A0[s, d] = min(wij, wji)
+    A0 = np.minimum(A, A.T)
     L0 = np.diag(A0.sum(axis=1)) - A0
     return LaplacianSplit(L0=L0, LI=L - L0, m=np.ones(g.n))
 
 
 def _fix_signs(P: np.ndarray) -> np.ndarray:
     """Deterministic sign: largest-magnitude component of each column positive."""
-    P = P.copy()
-    for k in range(P.shape[1]):
-        i = np.argmax(np.abs(P[:, k]))
-        if P[i, k] < 0:
-            P[:, k] = -P[:, k]
-    return P
+    top = P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])]
+    return P * np.where(top < 0, -1.0, 1.0)
 
 
 def _similarity(X: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -126,25 +116,32 @@ def _similarity(X: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m_sqrt[:, None] * X) * (1.0 / m_sqrt)
 
 
-def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (symmetric by construction).
-
-    An asymmetry above DEFAULT_TOL * max|S0| raises NumericalFailure.
-    """
-    n = L0.shape[0]
-    if not np.any(L0):
-        # empty symmetrizable part: any orthonormal basis works, pick identity
-        return SpectralDecomposition(eigenvalues=np.zeros(n), P=np.eye(n), m=m)
+def _eigen(L0: np.ndarray, m: np.ndarray, vectors: bool):
+    """eigh (vectors) or eigvalsh of S0 = M^{1/2} L0 M^{-1/2}, symmetric by construction:
+    an asymmetry above DEFAULT_TOL * max|S0| raises NumericalFailure."""
     S0 = _similarity(L0, m)
     asym = np.abs(S0 - S0.T).max()
     if asym > DEFAULT_TOL * np.abs(S0).max():
         raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
-    S0 = 0.5 * (S0 + S0.T)
     try:
-        lam, P = np.linalg.eigh(S0)
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(0.5 * (S0 + S0.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+
+
+def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (see _eigen)."""
+    n = L0.shape[0]
+    if not np.any(L0):
+        # empty symmetrizable part: any orthonormal basis works, pick identity
+        return SpectralDecomposition(eigenvalues=np.zeros(n), P=np.eye(n), m=m)
+    lam, P = _eigen(L0, m, vectors=True)
     return SpectralDecomposition(eigenvalues=lam, P=_fix_signs(P), m=m)
+
+
+def symmetrized_eigenvalues(L0: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of S0 alone, as symmetrize's but without eigenvectors."""
+    return _eigen(L0, m, vectors=False) if np.any(L0) else np.zeros(L0.shape[0])
 
 
 def spectral_decomposition(g: WeightedDigraph):

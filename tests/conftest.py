@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 
 from netosc import build_bundle, from_edges, mode_interaction_matrix, spectral_decomposition
+from netosc.errors import NotSymmetrizable, NumericalFailure
 from netosc.graph import build_matrices
+from netosc.symmetry import DEFAULT_TOL, LaplacianSplit
 
 # property tests draw the same examples on every run and keep tier-1 fast
 settings.register_profile("netosc", derandomize=True, deadline=None, max_examples=40)
@@ -101,6 +103,64 @@ def random_symmetric_graph(rng, n, weighted=False):
         edges.append((str(i), str(j), w))
         edges.append((str(j), str(i), w))
     return from_edges(edges)
+
+
+def check_symmetrizable_loops(g):
+    """Per-edge dict-and-loop symmetrizability check, the oracle of the array scan in
+    symmetry.check_symmetrizable: the same m bit for bit, or the same error and edge."""
+    w = {(s, d): wt for s, d, wt in g.edges}
+    for s, d in w:
+        if (d, s) not in w:
+            raise NotSymmetrizable("one_way_edge", edge=(g.labels[s], g.labels[d]))
+    adj = [[] for _ in range(g.n)]
+    for s, d, _ in g.edges:
+        adj[s].append(d)
+    m = np.full(g.n, np.nan)
+    with np.errstate(all="ignore"):
+        for root in range(g.n):
+            if not np.isnan(m[root]):
+                continue
+            m[root] = 1.0
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j in adj[i]:
+                    if np.isnan(m[j]):
+                        m[j] = m[i] * w[(i, j)] / w[(j, i)]
+                        stack.append(j)
+        for (i, j), wij in w.items():
+            lhs, rhs = m[i] * wij, m[j] * w[(j, i)]
+            if abs(lhs - rhs) > DEFAULT_TOL * max(lhs, rhs):
+                raise NotSymmetrizable("cycle_inconsistent", edge=(g.labels[i], g.labels[j]))
+        m /= m.min()
+    if not np.all(np.isfinite(m)):
+        raise NumericalFailure("symmetrizing weights m fall outside the float range")
+    return m
+
+
+def decompose_laplacian_loops(g):
+    """symmetry.decompose_laplacian with the reciprocal part built edge by edge."""
+    _, _, L = build_matrices(g)
+    try:
+        return LaplacianSplit(L0=L, LI=np.zeros_like(L), m=check_symmetrizable_loops(g))
+    except NotSymmetrizable:
+        pass
+    w = {(s, d): wt for s, d, wt in g.edges}
+    A0 = np.zeros((g.n, g.n))
+    for (s, d), wij in w.items():
+        A0[s, d] = min(wij, w.get((d, s), 0.0))
+    L0 = np.diag(A0.sum(axis=1)) - A0
+    return LaplacianSplit(L0=L0, LI=L - L0, m=np.ones(g.n))
+
+
+def fix_signs_loops(P):
+    """Column by column: the largest-magnitude component of each column made positive."""
+    P = P.copy()
+    for k in range(P.shape[1]):
+        i = np.argmax(np.abs(P[:, k]))
+        if P[i, k] < 0:
+            P[:, k] = -P[:, k]
+    return P
 
 
 def bundle_for(g):

@@ -14,9 +14,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netosc
-from netosc import _blas, build_matrices, from_edges, sqrt_ops
+from netosc import (
+    _blas,
+    build_matrices,
+    check_symmetrizable,
+    flaming_indicator,
+    from_edges,
+    load_edge_list,
+    spectral_decomposition,
+    sqrt_ops,
+)
 from netosc.cli import COMMANDS, build_parser, run, verify_graph
 from netosc.errors import NumericalFailure
+from netosc.symmetry import symmetrized_eigenvalues
 
 from conftest import (
     bundle_for,
@@ -28,6 +38,7 @@ from conftest import (
     ring3,
     star4,
     sym2,
+    symmetrized_form,
     to_edge_list,
 )
 
@@ -224,6 +235,58 @@ def test_info_and_spectrum(graph_file, capsys):
     assert report["symmetrizable"] is True
 
 
+def command_report(tmp_path_factory, command, g):
+    """One command's report before serialization, and the graph it read."""
+    path = tmp_path_factory.getbasetemp() / "command_report.csv"
+    path.write_text(to_edge_list(g))
+    report = COMMANDS[command](build_parser().parse_args([command, "--input", str(path)]))
+    return report, load_edge_list(path)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), balanced=st.booleans())
+def test_spectrum_matches_eigh_within_rounding(tmp_path_factory, seed, n, balanced):
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
+    report, g = command_report(tmp_path_factory, "spectrum", g)
+    split, sd = spectral_decomposition(g)
+    # eigvalsh and eigh take different LAPACK paths; on 300 random graphs with n
+    # up to 300 they differed by at most 5.1 eps ||S0||_F
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(symmetrized_form(split.L0, split.m))
+    assert np.all(np.diff(report["eigenvalues"]) >= 0)
+    assert np.abs(report["eigenvalues"] - sd.eigenvalues).max() <= bound
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_flaming_of_a_symmetrizable_graph_matches_the_general_solve(tmp_path_factory, seed, n):
+    report, g = command_report(
+        tmp_path_factory, "flaming", random_detailed_balance_graph(np.random.default_rng(seed), n)
+    )
+    L = build_matrices(g)[2]
+    general = flaming_indicator(L)
+    assert report["growth_rate"] == general.growth_rate == 0.0
+    assert report["verdict"] == general.verdict == "stable"
+    lam_max = symmetrized_eigenvalues(L, check_symmetrizable(g))[-1]
+    assert report["worst_eigenvalue"] == lam_max
+    assert lam_max == pytest.approx(np.linalg.eigvals(L).real.max(), rel=1e-9)
+
+
+def test_flaming_of_path3_is_stable_at_its_largest_eigenvalue(graph_file, capsys):
+    run(["flaming", "--input", graph_file(path3())])
+    assert capsys.readouterr().out == (
+        '{"growth_rate":0.0,"verdict":"stable","worst_eigenvalue":[3.0,0.0]}\n'
+    )
+
+
+def test_flaming_keeps_the_general_solve_where_m_leaves_the_float_range(tmp_path):
+    # detailed balance holds, but m_c = 1e400: check fails, flaming does not
+    p = tmp_path / "g.csv"
+    p.write_text("a,b,1\nb,a,1e-200\nb,c,1\nc,b,1e-200\n")
+    assert run_captured(["check", "--input", str(p)])[0] == 3
+    code, out, err = run_captured(["flaming", "--input", str(p)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "stable"
+
+
 @pytest.mark.parametrize("command", ["check", "simulate", "sqrt"])
 def test_infinite_weight_exit_code(tmp_path, capsys, command):
     p = tmp_path / "inf.csv"
@@ -297,6 +360,20 @@ def test_fundamental_step_that_overflows_fails_with_one_line(graph_file, capsys)
     code = run(["fundamental", "--input", graph_file(ring3()), "--t-end", "0", "--dt", "1e100"])
     assert code == 3
     assert single_error_line(capsys)["error"] == "NumericalFailure"
+
+
+@pytest.mark.parametrize("command", ["simulate", "product-form", "doubled", "verify"])
+def test_non_finite_rk4_step_writes_no_warning(graph_file, command):
+    # every RK4 stage overflows at dt = 1e100; the one-row grid still succeeds, and
+    # verify's recurrence check of the non-finite step fails with its one JSON line
+    argv = [command, "--input", graph_file(ring3()), "--t-end", "0", "--dt", "1e100"]
+    code, out, err = run_captured(argv)
+    if command == "verify":
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "NumericalFailure"
+    else:
+        assert code == 0 and err == ""
 
 
 def test_directory_input_exit_code(tmp_path, capsys):

@@ -404,12 +404,12 @@ def test_streamed_theorem1_checks_match_the_stored_runs(seed, n, rows, balanced,
         want_final, want_gap, wave_rows = stored_theorem1_checks(op, L, x0, v0, t_end, dt)
     except NumericalFailure as want:
         with pytest.raises(NumericalFailure) as got:
-            theorem1_checks(op, L, x0, v0, t_end, dt)
+            theorem1_checks(op, structured_step(op, dt), L, x0, v0, t_end, dt)
         assert str(got.value) == str(want)
         return
     if balanced and stiff and rows > 40:
         assert wave_rows < rows
-    final, gap = theorem1_checks(op, L, x0, v0, t_end, dt)
+    final, gap = theorem1_checks(op, structured_step(op, dt), L, x0, v0, t_end, dt)
     assert np.abs(final - want_final).max() <= 1e-12 * np.abs(want_final).max()
     assert abs(gap - want_gap) <= 1e-12 * want_gap
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netosc import (
     build_matrices,
@@ -12,13 +16,18 @@ from netosc import (
     symmetrize,
     to_modes,
 )
-from netosc.errors import DimensionMismatch, NotSymmetrizable
+from netosc.errors import DimensionMismatch, NetoscError, NotSymmetrizable
+from netosc.symmetry import _fix_signs
 
 from conftest import (
+    check_symmetrizable_loops,
+    decompose_laplacian_loops,
+    fix_signs_loops,
     null_weight_cross_check,
     random_detailed_balance_graph,
     random_digraph,
     random_symmetric_graph,
+    random_undirected_skeleton,
     ring3,
     sym2,
     symmetrized_form,
@@ -181,3 +190,82 @@ def test_conjugation_consistency(rng):
         S0 = symmetrized_form(split.L0, split.m)
         assert abs(sd.eigenvalues.sum() - np.trace(S0)) <= 1e-9
         assert np.allclose(sd.P.T @ S0 @ sd.P, np.diag(sd.eigenvalues), atol=1e-9)
+
+
+def scan_graph(rng, n, kind):
+    """A random graph of one kind for the scan-equivalence property."""
+    if kind == "digraph":
+        return random_digraph(rng, n)
+    if kind == "wide":  # a tree whose reverse weights are down to 1e-200: m may overflow
+        edges = []
+        for i, j in random_undirected_skeleton(rng, n, extra=0):
+            w = float(rng.uniform(0.5, 2.0))
+            edges += [(str(i), str(j), w), (str(j), str(i), w * 10.0 ** rng.uniform(-200, 0))]
+        return from_edges(edges)
+    g = random_detailed_balance_graph(rng, n)
+    edges = [(g.labels[s], g.labels[d], w) for s, d, w in g.edges]
+    k = int(rng.integers(len(edges)))
+    if kind == "one_way":
+        del edges[k]
+    elif kind == "inconsistent":  # breaks detailed balance when the pair lies on a cycle
+        edges[k] = edges[k][:2] + (edges[k][2] * (1 + 10.0 ** rng.uniform(-11, -1)),)
+    return from_edges(edges)
+
+
+def outcome(f, g):
+    """(None, f(g)), or (the package error's class, reason, edge and message, None)."""
+    try:
+        return None, f(g)
+    except NetoscError as exc:
+        error = type(exc), getattr(exc, "reason", None), getattr(exc, "edge", None), str(exc)
+        return error, None
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    kind=st.sampled_from(["digraph", "balanced", "one_way", "inconsistent", "wide"]),
+)
+def test_array_scans_match_the_edge_loops(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    g = scan_graph(rng, n, kind)
+    A = np.zeros((g.n, g.n))
+    for s, d, w in g.edges:
+        A[s, d] = w
+    assert same_bits(g.adjacency(), A)
+
+    error, m = outcome(check_symmetrizable, g)
+    want_error, want_m = outcome(check_symmetrizable_loops, g)
+    assert error == want_error
+    assert error or same_bits(m, want_m)
+    error, split = outcome(decompose_laplacian, g)
+    want_error, want = outcome(decompose_laplacian_loops, g)
+    assert error == want_error
+    if error:
+        return
+    for name in ("L0", "LI", "m"):
+        assert same_bits(getattr(split, name), getattr(want, name)), name
+
+    S0 = symmetrized_form(split.L0, split.m)
+    for P in (np.linalg.eigh(0.5 * (S0 + S0.T))[1], rng.standard_normal((g.n, g.n))):
+        assert same_bits(_fix_signs(P), fix_signs_loops(P))
+
+
+
+def test_check_builds_no_dense_matrix():
+    # a bidirected ring with 4000 nodes: one dense n x n array would be 128 MB
+    n = 4000
+    edges = [(str(i), str((i + 1) % n), 1.0 + i % 3) for i in range(n)]
+    g = from_edges(edges + [(d, s, w) for s, d, w in edges])
+    tracemalloc.start()
+    try:
+        m = check_symmetrizable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m, np.ones(n))
+    assert peak < 4 * 1024**2
