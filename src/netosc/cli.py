@@ -204,12 +204,12 @@ def cmd_product_form(args):
     traj, traj_I = dynamics.product_form_solve(
         bundle.omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
+    if args.format == "csv":
+        return traj.to_csv()
     direct = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
     )
     gap = float(np.abs(traj.states - direct.states).max())
-    if args.format == "csv":
-        return traj.to_csv()
     return {"sign": args.sign, "sup_gap_vs_direct": gap, "final_state": traj.states[-1]}
 
 

@@ -10,6 +10,7 @@ s = (x+ + x-)/sqrt2 and w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]]
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,31 +145,28 @@ def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> T
 
 def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=10.0, dt=1e-3):
     """Theorem 1 from (x0, v0) under step = structured_step(op, dt), storing no
-    trajectory: the structured run and the RK4 wave run advance together a slab at a
-    time (dynamics._slabs), each slab reduced to per-row values at once.  Returns the
-    final branch sum sqrt2 s and the sup gap |sqrt2 s - x| over the rows both runs
-    cover; fails as sum_difference_run does."""
+    trajectory: the structured run and the RK4 wave run advance together a block of
+    rows at a time (dynamics._blocks).  Returns the final branch sum sqrt2 s and the
+    sup gap |sqrt2 s - x| over the rows both runs cover; fails as sum_difference_run
+    does."""
     n, L = len(x0), np.asarray(L, dtype=float)
     y0 = _sum_difference_state(op, lift_initial_conditions(op.factors, x0, v0))
     times = _grid(t_end, dt)
-    rows, B = len(times), dynamics._block(len(times))
-    structured = dynamics._slabs(step, y0.real, rows)
-    wave = dynamics._slabs(dynamics._wave_step(L, dt), np.concatenate([x0, v0]), rows, slice(n))
-    sizes, wave_sizes, gaps = [], [], []
-    for j, ((Y, size), (W, wave_size)) in enumerate(zip(structured, wave)):
-        sizes.append(size)
-        wave_sizes.append(wave_size)
-        # rows past a run's first bad row may overflow here; they are dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.sqrt(2.0) * Y[:, :n]
-            gaps.append(np.abs(x[: len(W)] - W[: len(x), :n]).max(axis=1))
-        if j == (rows - 1) % B:
-            final_slab = x
-    cut = dynamics._cut(sizes, rows)
-    if cut < rows:
-        raise _overflow(times, cut)
-    gap = float(np.stack(gaps, axis=1).reshape(-1)[: dynamics._cut(wave_sizes, rows)].max())
-    return final_slab[(rows - 1) // B], gap
+    structured = dynamics._blocks(step, y0.real, len(times))
+    wave = dynamics._blocks(
+        dynamics._wave_step(L, dt), np.concatenate([x0, v0]), len(times), slice(n)
+    )
+    rows, gap = 0, 0.0
+    for Y, W in itertools.zip_longest(structured, wave):
+        if Y is None:
+            break
+        x = np.sqrt(2.0) * Y[:, :n]
+        rows, final = rows + len(x), x[-1]
+        if W is not None:
+            gap = max(gap, np.abs(x[: len(W)] - W[: len(x), :n]).max())
+    if rows < len(times):
+        raise _overflow(times, rows)
+    return final, float(gap)
 
 
 def integrate_doubled(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:

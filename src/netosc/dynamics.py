@@ -1,10 +1,12 @@
 """Time integration, oscillation energy, and divergence scoring.
 
 Each integrator is a fixed one-step matrix run through one blocked core,
-`_slabs`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
+`_blocks`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
 applied once to the identity) and the exact propagator expm(-+i Omega dt)
-for +-i dpsi/dt = Omega psi; `_propagate` collects its slabs.  The first row
-that is non-finite or exceeds OVERFLOW_LIMIT in modulus ends a run.
+for +-i dpsi/dt = Omega psi.  The core yields the run in time order, in blocks
+of about sqrt(rows) consecutive rows, and ends it before the first row that is
+non-finite or exceeds OVERFLOW_LIMIT in modulus; `_propagate` copies the
+blocks into one array.
 """
 
 from __future__ import annotations
@@ -79,55 +81,45 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _block(rows):
-    """Block length B ~ sqrt(rows) of the slabs: rows kB + j, 0 <= j < B."""
-    return math.isqrt(rows - 1) + 1
+def _blocks(step, y0, rows, watch=slice(None)):
+    """Yield the rows step^k y0, k < rows, in time order as (B, dim) blocks, B ~ sqrt(rows).
 
-
-def _slabs(step, y0, rows, watch=slice(None)):
-    """Yield the rows step^k y0, k < rows, as B ~ sqrt(rows) slabs with their sizes.
-
-    Slab j is a (K, dim) array holding row kB + j of every block k; its size is
-    each row's largest `watch` component in modulus.  The block starts advance
-    by step^B, then one GEMM per offset gives the next slab, so Python runs
-    O(sqrt rows) times, not rows.  A bad block start (see _cut) ends the blocks.
+    The first block is stepped one row at a time; each later block is the one
+    before times step^B, one GEMM, so Python runs O(sqrt rows) times, not rows.
+    The run stops before the first row k >= 1 whose largest `watch` component in
+    modulus is non-finite or exceeds OVERFLOW_LIMIT; the caller sees a shorter run.
+    No block is empty.
     """
-    B = _block(rows)
+    B = math.isqrt(rows - 1) + 1
     # np.errstate is a context variable: scoped per statement, it cannot leak
     # into the caller's code while the generator is suspended at a yield
     with np.errstate(over="ignore", invalid="ignore"):
-        leap = np.linalg.matrix_power(step, B)
-        starts = [np.asarray(y0, dtype=np.result_type(step, y0))]
-        while len(starts) * B < rows:
-            starts.append(leap @ starts[-1])
-            # a bad block start bounds the first bad row: later blocks are moot
-            if not np.abs(starts[-1][watch]).max() <= OVERFLOW_LIMIT:
-                break
-        Y = np.array(starts)
-    for j in range(B):
-        yield Y, np.abs(Y[:, watch]).max(axis=1)
-        if j + 1 < B:
+        Y = np.empty((B, len(y0)), dtype=np.result_type(step, y0))
+        Y[0] = y0
+        for k in range(1, len(Y)):
+            Y[k] = step @ Y[k - 1]
+        leap = np.linalg.matrix_power(step, B).T
+    for done in range(0, rows, B):
+        if done:
             with np.errstate(over="ignore", invalid="ignore"):
-                Y = Y @ step.T
-
-
-def _cut(sizes, rows):
-    """Rows before the first row k >= 1 whose size (one column per slab) is
-    non-finite or exceeds OVERFLOW_LIMIT; rows when there is none."""
-    size = np.stack(sizes, axis=1).reshape(-1)[1:rows]
-    bad = np.flatnonzero(~(size <= OVERFLOW_LIMIT))
-    return 1 + int(bad[0]) if len(bad) else rows
+                Y = Y[: rows - done] @ leap
+        ok = np.abs(Y[:, watch]).max(axis=1) <= OVERFLOW_LIMIT
+        ok[0] |= not done                                # row 0 is never cut
+        if not ok.all():
+            if ok[0]:
+                yield Y[: np.argmin(ok)]
+            return
+        yield Y
 
 
 def _propagate(step, y0, times, watch=slice(None)):
     """Rows step^k y0 for every grid point, cut before the first bad row."""
-    rows, sizes = len(times), []
-    for j, (Y, size) in enumerate(_slabs(step, y0, rows, watch)):
-        if not j:
-            out = np.empty((len(Y), _block(rows), len(y0)), dtype=Y.dtype)
-        out[:, j] = Y
-        sizes.append(size)
-    return out.reshape(-1, len(y0))[: _cut(sizes, rows)]
+    out = np.empty((len(times), len(y0)), dtype=np.result_type(step, y0))
+    done = 0
+    for Y in _blocks(step, y0, len(times), watch):
+        out[done : done + len(Y)] = Y
+        done += len(Y)
+    return out[:done]
 
 
 def _wave_step(L, dt):

@@ -11,6 +11,7 @@ follow the same rules through the same validator.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -43,7 +44,8 @@ class WeightedDigraph:
     @functools.cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, w) arrays of the edges, in edge order; shared, so never written to."""
-        src, dst, w = np.array(self.edges).T.copy()
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges), float, 3 * len(self.edges))
+        src, dst, w = flat.reshape(-1, 3).T.copy()
         return src.astype(np.intp), dst.astype(np.intp), w
 
     def adjacency(self) -> np.ndarray:

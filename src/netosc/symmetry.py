@@ -47,7 +47,9 @@ def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
     (root weight 1), then every edge is checked for the detailed-balance
     residual |m_i w_ij - m_j w_ji| <= DEFAULT_TOL * max(m_i w_ij, m_j w_ji).
     That bounds |S0_ij - S0_ji| by DEFAULT_TOL * max|S0|, the test symmetrize
-    applies.  An m outside the float range raises NumericalFailure.
+    applies.  A propagated m that is non-finite or below the smallest normal float
+    (too few bits for that test), or an m that leaves the float range when
+    normalized, raises NumericalFailure.
     """
     src, dst, w = g.edge_arrays
     # each edge's reverse link, by a sorted-key lookup
@@ -75,6 +77,8 @@ def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
                         m[adj[k]] = m[i] * w_out[k] / w_in[k]
                         stack.append(adj[k])
     m = np.array(m)
+    if not np.all((m >= np.finfo(float).tiny) & (m < np.inf)):
+        raise NumericalFailure("symmetrizing weights m fall outside the float range")
     with np.errstate(all="ignore"):
         lhs, rhs = m[src] * w, m[dst] * w_rev
         bad = np.flatnonzero(np.abs(lhs - rhs) > DEFAULT_TOL * np.maximum(lhs, rhs))

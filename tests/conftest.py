@@ -128,6 +128,8 @@ def check_symmetrizable_loops(g):
                     if np.isnan(m[j]):
                         m[j] = m[i] * w[(i, j)] / w[(j, i)]
                         stack.append(j)
+        if not all(np.finfo(float).tiny <= mi < np.inf for mi in m):
+            raise NumericalFailure("symmetrizing weights m fall outside the float range")
         for (i, j), wij in w.items():
             lhs, rhs = m[i] * wij, m[j] * w[(j, i)]
             if abs(lhs - rhs) > DEFAULT_TOL * max(lhs, rhs):

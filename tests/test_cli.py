@@ -17,6 +17,7 @@ import netosc
 from netosc import (
     _blas,
     build_matrices,
+    dynamics,
     check_symmetrizable,
     flaming_indicator,
     from_edges,
@@ -183,6 +184,20 @@ def test_fundamental_and_product_form(graph_file, capsys):
     assert report["sup_gap_vs_direct"] <= 1e-5
 
 
+@pytest.mark.parametrize(("fmt", "runs"), [("csv", 1), ("json", 2)])
+def test_product_form_runs_the_direct_solve_only_for_its_gap(graph_file, monkeypatch, fmt, runs):
+    calls, propagate = [], dynamics._propagate
+
+    def counting_propagate(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", counting_propagate)
+    argv = ["product-form", "--input", graph_file(ring3()), "--t-end", "1", "--format", fmt]
+    assert run_captured(argv)[0] == 0
+    assert len(calls) == runs
+
+
 def test_fundamental_builds_no_node_space_operator(graph_file, capsys, monkeypatch):
     bundles, build_bundle = [], sqrt_ops.build_bundle
 
@@ -285,6 +300,22 @@ def test_flaming_keeps_the_general_solve_where_m_leaves_the_float_range(tmp_path
     code, out, err = run_captured(["flaming", "--input", str(p)])
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "stable"
+
+
+@pytest.mark.parametrize(
+    ("command", "code"),
+    [("check", 3), ("decompose", 3), ("spectrum", 3), ("sqrt", 3), ("flaming", 0)],
+)
+def test_path_whose_m_turns_subnormal_fails_instead_of_reporting_a_cycle(tmp_path, command, code):
+    # a path has no cycle, but m_c = 1e-150 * 1e-165 / 3 is subnormal: too few bits
+    # for the balance test, which read it as cycle_inconsistent; flaming falls back
+    p = tmp_path / "g.csv"
+    p.write_text("a,b,1e-150\nb,a,1\nb,c,1e-165\nc,b,3\n")
+    got, out, err = run_captured([command, "--input", str(p)])
+    assert got == code
+    if code:
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericalFailure"
 
 
 @pytest.mark.parametrize("command", ["check", "simulate", "sqrt"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -412,6 +414,24 @@ def test_streamed_theorem1_checks_match_the_stored_runs(seed, n, rows, balanced,
     final, gap = theorem1_checks(op, structured_step(op, dt), L, x0, v0, t_end, dt)
     assert np.abs(final - want_final).max() <= 1e-12 * np.abs(want_final).max()
     assert abs(gap - want_gap) <= 1e-12 * want_gap
+
+
+def test_theorem1_checks_hold_blocks_not_runs():
+    # 10^5 rows at n = 4: one stored [s | w] run is rows * 2n * 8 B = 6.4 MB and three
+    # per-row lists 2.4 MB; what is left is about the time grid, 1.6 MB while _grid builds it
+    g = star4()
+    op = hat_H_structured(sparse_factors(g))
+    rng = np.random.default_rng(5)
+    x0, v0, dt = rng.standard_normal(4), rng.standard_normal(4), 1e-3
+    step, L = structured_step(op, dt), build_matrices(g)[2]
+    tracemalloc.start()
+    try:
+        _, gap = theorem1_checks(op, step, L, x0, v0, t_end=100.0, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap <= 1e-5
+    assert peak < 2.5e6
 
 
 @given(

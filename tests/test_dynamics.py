@@ -21,6 +21,7 @@ from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable, Num
 from netosc.dynamics import (
     OVERFLOW_LIMIT,
     Trajectory,
+    _blocks,
     _propagate,
     recurrence_residual,
     wave_energy_series,
@@ -295,10 +296,16 @@ def test_wave_divergence_truncates():
     assert traj.times[-1] < 120.0
 
 
-def sequential_steps(step, y0, rows):
-    ys = [y0]
-    for _ in range(rows - 1):
-        ys.append(step @ ys[-1])
+def sequential_run(step, y0, rows, watch=slice(None)):
+    """step @ y one row at a time, cut before the first row k >= 1 whose largest watched
+    component is non-finite or exceeds OVERFLOW_LIMIT: the oracle of _propagate."""
+    ys = [np.asarray(y0, dtype=np.result_type(step, y0))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(ys) < rows:
+            y = step @ ys[-1]
+            if not np.abs(y[watch]).max() <= OVERFLOW_LIMIT:
+                break
+            ys.append(y)
     return np.array(ys)
 
 
@@ -310,7 +317,7 @@ def test_propagate_matches_sequential_steps(rng, rows):
     step = scipy.linalg.expm(0.05 * G)
     y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     got = _propagate(step, y0, np.arange(rows) * 0.01)
-    want = sequential_steps(step, y0, rows)
+    want = sequential_run(step, y0, rows)
     assert got.shape == want.shape
     rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
     assert rel.max() <= 1e-12
@@ -328,6 +335,56 @@ def test_propagate_watches_only_selected_components():
     step = np.diag([1.0, 10.0])
     states = _propagate(step, np.ones(2), np.arange(30.0), watch=slice(1))
     assert len(states) == 30
+
+
+# perfect squares, squares + 1 and primes up to 300
+CORE_ROWS = [1, 2, 3, 4, 5, 7, 9, 10, 16, 17, 31, 49, 50, 97, 100, 101, 127,
+             169, 170, 199, 256, 257, 289, 290, 293, 300]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    rows=st.sampled_from(CORE_ROWS),
+    growth=st.one_of(st.none(), st.floats(0.5, 1.2)),
+    complex_step=st.booleans(),
+)
+def test_blocked_run_matches_the_sequential_loop(seed, dim, rows, growth, complex_step):
+    # an orthogonal (or unitary) step times r: r^k crosses OVERFLOW_LIMIT near
+    # row k = growth * rows, so most runs with a growth below 1 are cut
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((dim, dim)) + 1j * complex_step * rng.standard_normal((dim, dim))
+    Q = np.linalg.qr(G)[0]
+    r = 1.0 if growth is None else 10.0 ** (12 / (growth * rows + 0.5))
+    y0 = rng.standard_normal(dim)
+    got, want = _propagate(r * Q, y0, np.arange(rows)), sequential_run(r * Q, y0, rows)
+    if len(got) != len(want):       # a row within rounding of the limit may go either way
+        edge = min(len(got), len(want))
+        assert abs(np.abs(r * Q @ want[edge - 1]).max() / OVERFLOW_LIMIT - 1) <= 1e-12
+        got, want = got[:edge], want[:edge]
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1))
+
+
+@pytest.mark.parametrize(
+    "first_bad", [40, 37, 99, 1], ids=["block-start", "mid-block", "last-row", "row-1"]
+)
+def test_blocks_stop_before_the_first_bad_row(first_bad):
+    # r^(first_bad - 1) < OVERFLOW_LIMIT < r^first_bad, each a factor sqrt(r) away;
+    # 100 rows make blocks of B = 10: rows 0-9, 10-19, ...
+    r = 10.0 ** (12 / (first_bad - 0.5))
+    blocks = list(_blocks(np.array([[r]]), np.array([1.0]), 100))
+    sizes = [10] * (first_bad // 10) + [first_bad % 10] * (first_bad % 10 > 0)
+    assert [len(Y) for Y in blocks] == sizes                 # no block is empty
+    states = np.concatenate(blocks)
+    assert len(states) == first_bad
+    assert np.abs(states).max() <= OVERFLOW_LIMIT
+
+
+@pytest.mark.parametrize(("factor", "rows_kept"), [(1e-2, 100), (1.0, 1)], ids=["recovers", "stays-bad"])
+def test_row_0_is_never_cut(factor, rows_kept):
+    states = _propagate(np.array([[factor]]), np.array([1e13]), np.arange(100.0))
+    assert len(states) == rows_kept
+    assert states[0, 0] == 1e13
 
 
 def product_form_reference(Omega0, OmegaI, psiI0, sign, t_end, dt):
