@@ -5,7 +5,8 @@ The structured operator combines a diagonal factor sqrt(D) with an adjacency
 factor tensored against a nilpotent 2x2 block, so its off-diagonal blocks
 appear exactly where links exist; summing the branches recovers every
 solution of the second-order dynamics.  Runs step the real coordinates
-s = (x+ + x-)/sqrt2 and w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]].
+s = (x+ + x-)/sqrt2 and w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]];
+this module builds steps and initial states, and dynamics._blocks runs them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, dynamics
-from .dynamics import Trajectory, _grid, _propagate
-from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
+from .dynamics import Trajectory, _propagate
+from .errors import DimensionMismatch, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
 E2 = np.eye(2)
@@ -114,7 +115,8 @@ def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
 def structured_step(op: StructuredOperator, dt) -> np.ndarray:
     """The real step expm(G dt), G = [[0, Hd], [Ha - Hd, 0]], of the (s, w) coordinates."""
     Hd, Ha = np.diag(op.factors.d_sqrt), op.factors.Ha
-    return _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
+        return _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
 
 
 def _sum_difference_state(op: StructuredOperator, x_hat0) -> np.ndarray:
@@ -125,48 +127,34 @@ def _sum_difference_state(op: StructuredOperator, x_hat0) -> np.ndarray:
     return np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
 
 
-def _overflow(times, cut) -> NumericalFailure:
-    return NumericalFailure(f"doubled state overflow at t={times[cut]:.12g}")
-
-
 def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
-    """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt);
-    an x_hat0 that is not lifted takes a second run on the imaginary part of (s, w)."""
-    y0 = _sum_difference_state(op, x_hat0)
-    step, times = structured_step(op, dt), _grid(t_end, dt)
-    states = _propagate(step, y0.real, times)
+    """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt).
+    An x_hat0 that is not lifted takes a second run on the imaginary part of (s, w);
+    each run fails on its own overflow, the real part's first."""
+    y0, step = _sum_difference_state(op, x_hat0), structured_step(op, dt)
+    times, states = _propagate(step, y0.real, t_end, dt, run="doubled")
     if y0.imag.any():
-        imag = _propagate(step, y0.imag, times)
-        states = states[: len(imag)] + 1j * imag[: len(states)]
-    if len(states) < len(times):
-        raise _overflow(times, len(states))
+        states = states + 1j * _propagate(step, y0.imag, t_end, dt, run="doubled")[1]
     return Trajectory(times, states)
 
 
 def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=10.0, dt=1e-3):
     """Theorem 1 from (x0, v0) under step = structured_step(op, dt), storing no
-    trajectory: the structured run and the RK4 wave run advance together a block of
-    rows at a time (dynamics._blocks).  Returns the final branch sum sqrt2 s and the
-    sup gap |sqrt2 s - x| over the rows both runs cover; fails as sum_difference_run
-    does."""
+    trajectory: the structured and the RK4 wave run advance together, block by block.
+    Returns the final branch sum sqrt2 s and the sup gap |sqrt2 s - x| over the rows
+    before the wave run diverges; fails as sum_difference_run does."""
     n, L = len(x0), np.asarray(L, dtype=float)
     y0 = _sum_difference_state(op, lift_initial_conditions(op.factors, x0, v0))
-    times = _grid(t_end, dt)
-    structured = dynamics._blocks(step, y0.real, len(times))
+    structured = dynamics._blocks(step, y0.real, t_end, dt, run="doubled")
     wave = dynamics._blocks(
-        dynamics._wave_step(L, dt), np.concatenate([x0, v0]), len(times), slice(n)
+        dynamics._wave_step(L, dt), np.concatenate([x0, v0]), t_end, dt, slice(n)
     )
-    rows, gap = 0, 0.0
+    gap = 0.0
     for Y, W in itertools.zip_longest(structured, wave):
-        if Y is None:
-            break
         x = np.sqrt(2.0) * Y[:, :n]
-        rows, final = rows + len(x), x[-1]
         if W is not None:
-            gap = max(gap, np.abs(x[: len(W)] - W[: len(x), :n]).max())
-    if rows < len(times):
-        raise _overflow(times, rows)
-    return final, float(gap)
+            gap = max(gap, np.abs(x[: len(W)] - W[:, :n]).max())
+    return x[-1], float(gap)
 
 
 def integrate_doubled(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:

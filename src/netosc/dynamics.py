@@ -1,12 +1,12 @@
 """Time integration, oscillation energy, and divergence scoring.
 
-Each integrator is a fixed one-step matrix run through one blocked core,
-`_blocks`: RK4 on the (x, v) system for d^2x/dt^2 = -Lx (the RK4 stages
-applied once to the identity) and the exact propagator expm(-+i Omega dt)
-for +-i dpsi/dt = Omega psi.  The core yields the run in time order, in blocks
-of about sqrt(rows) consecutive rows, and ends it before the first row that is
-non-finite or exceeds OVERFLOW_LIMIT in modulus; `_propagate` copies the
-blocks into one array.
+Each integrator builds a fixed one-step matrix and an initial state; one blocked
+core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt): RK4 on
+the (x, v) system for d^2x/dt^2 = -Lx (its stages applied once to the identity)
+and the exact propagator expm(-+i Omega dt) for +-i dpsi/dt = Omega psi.  The
+core yields the run in time order, in blocks of about sqrt(rows) rows, and stops
+before the first row that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the
+wave run comes out shorter, a named first-order run raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -58,11 +58,12 @@ class FlamingIndicator:
     verdict: str                 # "stable" or "divergent"
 
 
-def _grid(t_end: float, dt: float) -> np.ndarray:
-    if dt <= 0 or t_end < 0:
-        raise ValueError("dt must be > 0 and t_end >= 0")
-    steps = int(round(t_end / dt))
-    return np.arange(steps + 1) * dt
+def _rows(t_end, dt) -> int:
+    """Number of grid points t = k dt, k <= round(t_end / dt)."""
+    t_end, dt = float(t_end), float(dt)
+    if not (0 <= t_end < math.inf and 0 < dt < math.inf and t_end / dt < math.inf):
+        raise GridMismatch(f"grid needs finite t_end >= 0, dt > 0 and t_end/dt, got {t_end}, {dt}")
+    return int(round(t_end / dt)) + 1
 
 
 def _phase(sign: str) -> complex:
@@ -81,15 +82,16 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _blocks(step, y0, rows, watch=slice(None)):
-    """Yield the rows step^k y0, k < rows, in time order as (B, dim) blocks, B ~ sqrt(rows).
+def _blocks(step, y0, t_end, dt, watch=slice(None), run=None):
+    """Yield the rows step^k y0 at t = k dt in time order as (B, dim) blocks, B ~ sqrt(rows).
 
     The first block is stepped one row at a time; each later block is the one
     before times step^B, one GEMM, so Python runs O(sqrt rows) times, not rows.
     The run stops before the first row k >= 1 whose largest `watch` component in
-    modulus is non-finite or exceeds OVERFLOW_LIMIT; the caller sees a shorter run.
-    No block is empty.
+    modulus is non-finite or exceeds OVERFLOW_LIMIT: an unnamed run comes out
+    shorter, a run named `run` raises NumericalFailure there.  No block is empty.
     """
+    rows = _rows(t_end, dt)
     B = math.isqrt(rows - 1) + 1
     # np.errstate is a context variable: scoped per statement, it cannot leak
     # into the caller's code while the generator is suspended at a yield
@@ -106,20 +108,23 @@ def _blocks(step, y0, rows, watch=slice(None)):
         ok = np.abs(Y[:, watch]).max(axis=1) <= OVERFLOW_LIMIT
         ok[0] |= not done                                # row 0 is never cut
         if not ok.all():
-            if ok[0]:
-                yield Y[: np.argmin(ok)]
+            cut = int(np.argmin(ok))
+            if run is not None:
+                raise NumericalFailure(f"{run} state overflow at t={(done + cut) * dt:.12g}")
+            if cut:
+                yield Y[:cut]
             return
         yield Y
 
 
-def _propagate(step, y0, times, watch=slice(None)):
-    """Rows step^k y0 for every grid point, cut before the first bad row."""
-    out = np.empty((len(times), len(y0)), dtype=np.result_type(step, y0))
+def _propagate(step, y0, t_end, dt, watch=slice(None), run=None):
+    """(times, states) of the `_blocks` run, its rows copied into one array."""
+    out = np.empty((_rows(t_end, dt), len(y0)), dtype=np.result_type(step, y0))
     done = 0
-    for Y in _blocks(step, y0, len(times), watch):
+    for Y in _blocks(step, y0, t_end, dt, watch, run):
         out[done : done + len(Y)] = Y
         done += len(Y)
-    return out[:done]
+    return np.arange(done) * dt, out[:done]
 
 
 def _wave_step(L, dt):
@@ -143,12 +148,11 @@ def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (n,) or v0.shape != (n,):
         raise DimensionMismatch("state length does not match L")
-    times = _grid(t_end, dt)
-    states = _propagate(_wave_step(L, dt), np.concatenate([x0, v0]), times, watch=slice(n))
+    times, states = _propagate(_wave_step(L, dt), np.concatenate([x0, v0]), t_end, dt, slice(n))
     meta = {"velocities": states[:, n:]}
-    if len(states) < len(times):
-        meta["diverged_at"] = times[len(states)]
-    return Trajectory(times=times[: len(states)], states=states[:, :n], meta=meta)
+    if len(states) < _rows(t_end, dt):
+        meta["diverged_at"] = len(states) * dt
+    return Trajectory(times=times, states=states[:, :n], meta=meta)
 
 
 def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Trajectory:
@@ -161,13 +165,9 @@ def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Traject
     if psi.shape != (Omega.shape[0],):
         raise DimensionMismatch("state length does not match Omega")
     s = _phase(sign)
-    times = _grid(t_end, dt)
-    step = _blas.linalg().expm(s * Omega * dt)
-    states = _propagate(step, psi, times)
-    if len(states) < len(times):
-        raise NumericalFailure(
-            f"fundamental-equation state overflow at t={times[len(states)]:.12g}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
+        step = _blas.linalg().expm(s * Omega * dt)
+    times, states = _propagate(step, psi, t_end, dt, run="fundamental-equation")
     return Trajectory(times=times, states=states, meta={"step": step})
 
 
@@ -208,10 +208,7 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
     # from 0 conjugated by Psi0(t), and psi = Psi0 psiI advances by a constant
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step ends the run
         step = np.exp(s * omega0 * dt)[:, None] * _rk4_step(rhs, 0.0, np.eye(len(psiI)), dt)
-    times = _grid(t_end, dt)
-    states = _propagate(step, psiI, times)
-    if len(states) < len(times):
-        raise NumericalFailure(f"product-form state overflow at t={times[len(states)]:.12g}")
+    times, states = _propagate(step, psiI, t_end, dt, run="product-form")
     statesI = states / np.exp(s * np.outer(times, omega0))
     return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 

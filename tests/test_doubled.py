@@ -28,7 +28,6 @@ from netosc.doubled import (
 )
 from netosc.dynamics import (
     Trajectory,
-    _grid,
     _propagate,
     integrate_fundamental,
     recurrence_residual,
@@ -46,6 +45,7 @@ from conftest import (
     random_detailed_balance_graph,
     random_digraph,
     recurrence_bound,
+    ring3,
     second_order_residual,
     star4,
     sym2,
@@ -280,7 +280,7 @@ def test_lift_rejects_short_velocity():
 def literal_complex_run(op, x_hat0, t_end, dt):
     """The doubled run as the equation states it: complex x_hat stepped by expm(-i H_hat dt)."""
     step = scipy.linalg.expm(-1j * op.matrix * dt)
-    return _propagate(step, np.asarray(x_hat0, dtype=complex), _grid(t_end, dt))
+    return _propagate(step, np.asarray(x_hat0, dtype=complex), t_end, dt)[1]
 
 
 def wide_weight_digraph(seed, n, low=-6.0, high=6.0):
@@ -416,9 +416,27 @@ def test_streamed_theorem1_checks_match_the_stored_runs(seed, n, rows, balanced,
     assert abs(gap - want_gap) <= 1e-12 * want_gap
 
 
+def test_a_non_lifted_run_fails_at_the_cut_of_its_real_part():
+    # the real and the imaginary part of (s, w) are two runs of the real step; here
+    # both overflow, the imaginary one first, and the error names the real part's cut
+    f = sparse_factors(ring3())
+    op = hat_H_structured(f)
+    lifted = lift_initial_conditions(f, np.array([1.0, 0.0, 0.0]), np.zeros(3))
+
+    def failure(x_hat0):
+        with pytest.raises(NumericalFailure, match="^doubled state overflow at t=") as exc:
+            sum_difference_run(op, x_hat0, t_end=200.0, dt=1e-2)
+        return str(exc.value)
+
+    real, imag = failure(lifted), failure(1e6 * lifted)
+    assert float(imag.split("t=")[1]) < float(real.split("t=")[1])
+    assert failure(lifted + 1e6j * lifted) == real
+
+
 def test_theorem1_checks_hold_blocks_not_runs():
-    # 10^5 rows at n = 4: one stored [s | w] run is rows * 2n * 8 B = 6.4 MB and three
-    # per-row lists 2.4 MB; what is left is about the time grid, 1.6 MB while _grid builds it
+    # 10^5 rows at n = 4: one stored [s | w] run is rows * 2n * 8 B = 6.4 MB, three
+    # per-row lists 2.4 MB and a stored time grid 0.8 MB (1.6 MB while it is built);
+    # the blocks of about sqrt(rows) rows and the operators take about 0.12 MB
     g = star4()
     op = hat_H_structured(sparse_factors(g))
     rng = np.random.default_rng(5)
@@ -431,7 +449,7 @@ def test_theorem1_checks_hold_blocks_not_runs():
     finally:
         tracemalloc.stop()
     assert gap <= 1e-5
-    assert peak < 2.5e6
+    assert peak < 0.5e6
 
 
 @given(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from netosc import (
     build_bundle,
     build_matrices,
     degree_centrality_energy,
+    doubled,
     flaming_indicator,
     integrate_fundamental,
     integrate_wave,
@@ -233,6 +236,25 @@ def test_degree_centrality_weighted(rng):
     assert np.allclose(report.per_node, np.diag(S0) / 2, atol=1e-9)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    balanced=st.booleans(),
+)
+def test_unit_amplitude_energy_is_half_the_degree(seed, n, balanced):
+    # the degree/2 law: diag(S0) = diag(L) is the out-degree d, so each node holds
+    # d/2 and the total is sum(d)/2, up to the rounding of P^2 (lambda) in mode space
+    rng = np.random.default_rng(seed)
+    if balanced:
+        g = random_detailed_balance_graph(rng, n)
+    else:
+        g = random_symmetric_graph(rng, n, weighted=True)
+    d = np.diag(build_matrices(g)[2])
+    report = degree_centrality_energy(g)
+    assert np.all(np.abs(report.per_node - d / 2) <= 1e-13 * d / 2)
+    assert abs(report.total - d.sum() / 2) <= 1e-13 * d.sum() / 2
+
+
 def test_degree_centrality_rejects_one_way():
     with pytest.raises(NotSymmetrizable):
         degree_centrality_energy(ring3())
@@ -296,6 +318,41 @@ def test_wave_divergence_truncates():
     assert traj.times[-1] < 120.0
 
 
+def grid_runs():
+    """Each library entry point that steps a grid, as a function of (t_end, dt)."""
+    g = star4()
+    L = build_matrices(g)[2]
+    _, b = bundle_for(g)
+    op = doubled.hat_H_structured(doubled.sparse_factors(g))
+    x0, v0, psi0 = np.ones(4), np.zeros(4), np.ones(4, dtype=complex)
+    return {
+        "wave": lambda t_end, dt: integrate_wave(L, x0, v0, t_end, dt),
+        "fundamental": lambda t_end, dt: integrate_fundamental(b.Omega, psi0, "+", t_end, dt),
+        "product-form": lambda t_end, dt: product_form_solve(
+            np.diag(b.Omega0), b.OmegaI, psi0, "+", t_end, dt
+        ),
+        "doubled": lambda t_end, dt: doubled.integrate_doubled(
+            op, doubled.lift_initial_conditions(op.factors, x0, v0), t_end, dt
+        ),
+        "theorem1": lambda t_end, dt: doubled.theorem1_checks(
+            op, doubled.structured_step(op, dt), L, x0, v0, t_end, dt
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", ["wave", "fundamental", "product-form", "doubled", "theorem1"])
+@pytest.mark.parametrize(
+    ("t_end", "dt"),
+    [(math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3), (1.0, math.inf), (1.0, math.nan),
+     (1.0, 0.0), (1.0, -1e-3), (1e300, 1e-300)],
+    ids=["t-inf", "t-nan", "t-negative", "dt-inf", "dt-nan", "dt-0", "dt-negative",
+         "ratio-inf"],
+)
+def test_a_bad_grid_fails_with_one_package_error(entry, t_end, dt):
+    with pytest.raises(GridMismatch, match=r"^grid needs finite t_end >= 0, dt > 0 and t_end/dt"):
+        grid_runs()[entry](t_end, dt)
+
+
 def sequential_run(step, y0, rows, watch=slice(None)):
     """step @ y one row at a time, cut before the first row k >= 1 whose largest watched
     component is non-finite or exceeds OVERFLOW_LIMIT: the oracle of _propagate."""
@@ -316,7 +373,7 @@ def test_propagate_matches_sequential_steps(rng, rows):
     G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     step = scipy.linalg.expm(0.05 * G)
     y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    got = _propagate(step, y0, np.arange(rows) * 0.01)
+    got = _propagate(step, y0, rows - 1, 1.0)[1]
     want = sequential_run(step, y0, rows)
     assert got.shape == want.shape
     rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
@@ -327,13 +384,13 @@ def test_propagate_matches_sequential_steps(rng, rows):
 def test_propagate_cuts_before_first_overflow(factor):
     # 2^40 is the first power of 2 above 1e12 (a block start at 100 rows,
     # B = 10); 3^26 is the first power of 3, mid-block
-    states = _propagate(np.array([[factor]]), np.array([1.0]), np.arange(100.0))
+    states = _propagate(np.array([[factor]]), np.array([1.0]), 99, 1.0)[1]
     assert np.abs(states).max() <= OVERFLOW_LIMIT < factor * np.abs(states[-1]).max()
 
 
 def test_propagate_watches_only_selected_components():
     step = np.diag([1.0, 10.0])
-    states = _propagate(step, np.ones(2), np.arange(30.0), watch=slice(1))
+    states = _propagate(step, np.ones(2), 29, 1.0, watch=slice(1))[1]
     assert len(states) == 30
 
 
@@ -357,7 +414,7 @@ def test_blocked_run_matches_the_sequential_loop(seed, dim, rows, growth, comple
     Q = np.linalg.qr(G)[0]
     r = 1.0 if growth is None else 10.0 ** (12 / (growth * rows + 0.5))
     y0 = rng.standard_normal(dim)
-    got, want = _propagate(r * Q, y0, np.arange(rows)), sequential_run(r * Q, y0, rows)
+    got, want = _propagate(r * Q, y0, rows - 1, 1.0)[1], sequential_run(r * Q, y0, rows)
     if len(got) != len(want):       # a row within rounding of the limit may go either way
         edge = min(len(got), len(want))
         assert abs(np.abs(r * Q @ want[edge - 1]).max() / OVERFLOW_LIMIT - 1) <= 1e-12
@@ -365,14 +422,29 @@ def test_blocked_run_matches_the_sequential_loop(seed, dim, rows, growth, comple
     assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1))
 
 
+FIRST_BAD = {"block-start": 40, "mid-block": 37, "last-row": 99, "row-1": 1}
+
+
 @pytest.mark.parametrize(
-    "first_bad", [40, 37, 99, 1], ids=["block-start", "mid-block", "last-row", "row-1"]
+    ("first_bad", "run"),
+    [pytest.param(k, None, id=name) for name, k in FIRST_BAD.items()]
+    + [pytest.param(k, "test", id=f"{name}-named") for name, k in FIRST_BAD.items()],
 )
-def test_blocks_stop_before_the_first_bad_row(first_bad):
+def test_blocks_stop_before_the_first_bad_row(first_bad, run):
     # r^(first_bad - 1) < OVERFLOW_LIMIT < r^first_bad, each a factor sqrt(r) away;
     # 100 rows make blocks of B = 10: rows 0-9, 10-19, ...
     r = 10.0 ** (12 / (first_bad - 0.5))
-    blocks = list(_blocks(np.array([[r]]), np.array([1.0]), 100))
+    blocks, dt = [], 0.1
+    try:
+        for Y in _blocks(np.array([[r]]), np.array([1.0]), 99 * dt, dt, run=run):
+            blocks.append(Y)
+    except NumericalFailure as exc:
+        # a named run raises at that row and yields no part of the block that holds it
+        assert run is not None
+        assert str(exc) == f"test state overflow at t={first_bad * dt:.12g}"
+        assert [len(Y) for Y in blocks] == [10] * (first_bad // 10)
+        return
+    assert run is None
     sizes = [10] * (first_bad // 10) + [first_bad % 10] * (first_bad % 10 > 0)
     assert [len(Y) for Y in blocks] == sizes                 # no block is empty
     states = np.concatenate(blocks)
@@ -382,7 +454,7 @@ def test_blocks_stop_before_the_first_bad_row(first_bad):
 
 @pytest.mark.parametrize(("factor", "rows_kept"), [(1e-2, 100), (1.0, 1)], ids=["recovers", "stays-bad"])
 def test_row_0_is_never_cut(factor, rows_kept):
-    states = _propagate(np.array([[factor]]), np.array([1e13]), np.arange(100.0))
+    states = _propagate(np.array([[factor]]), np.array([1e13]), 99, 1.0)[1]
     assert len(states) == rows_kept
     assert states[0, 0] == 1e13
 
