@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import _blas, doubled, dynamics, graph, sqrt_ops, symmetry
-from .errors import NetoscError, NotSymmetrizable, NumericalFailure
+from .errors import GridMismatch, NetoscError, NotSymmetrizable, NumericalFailure
 from .reporting import canonical_json
-
-MAX_STEPS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,22 +24,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(canonical_json({"error": "Usage", "detail": message}) + "\n")
         sys.exit(1)
-
-
-def _nonnegative(text):
-    """argparse type: a finite number >= 0."""
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
-    return value
-
-
-def _positive(text):
-    """argparse type: a finite number > 0."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
-    return value
 
 
 def _seed(text):
@@ -66,8 +47,8 @@ def _add_common(sub, name):
         sub.add_argument("--input", required=True, nargs="+", help="edge-list file(s)")
     else:
         sub.add_argument("--input", required=True, help="edge-list file")
-    sub.add_argument("--t-end", type=_nonnegative, default=10.0)
-    sub.add_argument("--dt", type=_positive, default=1e-3)
+    sub.add_argument("--t-end", type=float, default=dynamics.T_END)
+    sub.add_argument("--dt", type=float, default=dynamics.DT)
     if name in ("simulate", "fundamental", "product-form", "doubled"):  # they export CSV
         sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=_seed, default=0)
@@ -303,16 +284,18 @@ COMMANDS = {
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.t_end / args.dt > MAX_STEPS:
-        parser.error(f"--t-end / --dt asks for more than {MAX_STEPS} time steps")
+    try:
+        dynamics.grid_rows(args.t_end, args.dt)
+    except GridMismatch as exc:
+        parser.error(f"--t-end / --dt: {exc}")
     try:
         with _blas.single_threaded():
             result = COMMANDS[args.command](args)
     except NetoscError as exc:
         sys.stderr.write(canonical_json(exc.payload()) + "\n")
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        error = type(exc).__name__.removesuffix("Error")
+    except OSError as exc:  # the input cannot be opened or read
+        error = "OSError" if type(exc) is OSError else type(exc).__name__.removesuffix("Error")
         sys.stderr.write(canonical_json({"error": error, "detail": str(exc)}) + "\n")
         return 2
     if isinstance(result, str):

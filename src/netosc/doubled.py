@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, dynamics
-from .dynamics import Trajectory, _propagate
+from .dynamics import DT, T_END, Trajectory, _propagate
 from .errors import DimensionMismatch, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
@@ -127,7 +127,7 @@ def _sum_difference_state(op: StructuredOperator, x_hat0) -> np.ndarray:
     return np.concatenate([x[0::2] + x[1::2], -1j * (x[0::2] - x[1::2])]) / np.sqrt(2.0)
 
 
-def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+def sum_difference_run(op: StructuredOperator, x_hat0, t_end=T_END, dt=DT) -> Trajectory:
     """Trajectory of [s | w] rows of the structured run, stepped by the real expm(G dt).
     An x_hat0 that is not lifted takes a second run on the imaginary part of (s, w);
     each run fails on its own overflow, the real part's first."""
@@ -138,7 +138,7 @@ def sum_difference_run(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> T
     return Trajectory(times, states)
 
 
-def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=10.0, dt=1e-3):
+def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=T_END, dt=DT):
     """Theorem 1 from (x0, v0) under step = structured_step(op, dt), storing no
     trajectory: the structured and the RK4 wave run advance together, block by block.
     Returns the final branch sum sqrt2 s and the sup gap |sqrt2 s - x| over the rows
@@ -157,7 +157,7 @@ def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=10.0, dt=1e-3
     return x[-1], float(gap)
 
 
-def integrate_doubled(op: StructuredOperator, x_hat0, t_end=10.0, dt=1e-3) -> Trajectory:
+def integrate_doubled(op: StructuredOperator, x_hat0, t_end=T_END, dt=DT) -> Trajectory:
     """Propagate i dx_hat/dt = H_hat x_hat; states interleave x+- = (s +- i w)/sqrt2."""
     run = sum_difference_run(op, x_hat0, t_end, dt)
     s, w = np.hsplit(run.states / np.sqrt(2.0), 2)

@@ -1,7 +1,8 @@
 """Time integration, oscillation energy, and divergence scoring.
 
 Each integrator builds a fixed one-step matrix and an initial state; one blocked
-core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt): RK4 on
+core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt), which
+`grid_rows` alone checks, for the library and the CLI alike: RK4 on
 the (x, v) system for d^2x/dt^2 = -Lx (its stages applied once to the identity)
 and the exact propagator expm(-+i Omega dt) for +-i dpsi/dt = Omega psi.  The
 core yields the run in time order, in blocks of about sqrt(rows) rows, and stops
@@ -21,6 +22,8 @@ from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, Numerical
 from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition, symmetrized_eigenvalues
 
+T_END, DT = 10.0, 1e-3             # the default grid
+MAX_STEPS = 10**7                  # the most steps t_end / dt may ask for
 OVERFLOW_LIMIT = 1e12
 GROWTH_THRESHOLD = 1e-9            # in units of sqrt(||L||_F)
 
@@ -34,15 +37,19 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        """Header, then t and each node's real and imaginary part, as %.12g."""
+        """Header, then t and each node's real and imaginary part, as %.12g;
+        formatted 512 rows at a time, so only one block is ever Python floats."""
         n = self.states.shape[1]
-        cols = np.empty((len(self.times), 1 + 2 * n))
-        cols[:, 0] = self.times
-        cols[:, 1::2] = self.states.real
-        cols[:, 2::2] = self.states.imag
-        row = ",".join(["%.12g"] * cols.shape[1]) + "\n"
-        header = "t," + ",".join(f"node{i}_re,node{i}_im" for i in range(n)) + "\n"
-        return header + "".join(row % tuple(r) for r in cols.tolist())
+        row = ",".join(["%.12g"] * (1 + 2 * n)) + "\n"
+        chunks = ["t," + ",".join(f"node{i}_re,node{i}_im" for i in range(n)) + "\n"]
+        for start in range(0, len(self.times), 512):
+            block = slice(start, start + 512)
+            cols = np.empty((len(self.times[block]), 1 + 2 * n))
+            cols[:, 0] = self.times[block]
+            cols[:, 1::2] = self.states[block].real
+            cols[:, 2::2] = self.states[block].imag
+            chunks.append("".join(row % tuple(r) for r in cols.tolist()))
+        return "".join(chunks)
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,14 @@ class FlamingIndicator:
     verdict: str                 # "stable" or "divergent"
 
 
-def _rows(t_end, dt) -> int:
-    """Number of grid points t = k dt, k <= round(t_end / dt)."""
+def grid_rows(t_end, dt) -> int:
+    """Number of grid points t = k dt, k <= round(t_end / dt); GridMismatch unless
+    0 <= t_end and 0 < dt are finite and t_end / dt is at most MAX_STEPS."""
     t_end, dt = float(t_end), float(dt)
-    if not (0 <= t_end < math.inf and 0 < dt < math.inf and t_end / dt < math.inf):
-        raise GridMismatch(f"grid needs finite t_end >= 0, dt > 0 and t_end/dt, got {t_end}, {dt}")
+    if not (0 <= t_end < math.inf and 0 < dt < math.inf and t_end / dt <= MAX_STEPS):
+        raise GridMismatch(
+            f"grid needs finite t_end >= 0, dt > 0 and t_end/dt <= {MAX_STEPS}, got {t_end}, {dt}"
+        )
     return int(round(t_end / dt)) + 1
 
 
@@ -91,7 +101,7 @@ def _blocks(step, y0, t_end, dt, watch=slice(None), run=None):
     modulus is non-finite or exceeds OVERFLOW_LIMIT: an unnamed run comes out
     shorter, a run named `run` raises NumericalFailure there.  No block is empty.
     """
-    rows = _rows(t_end, dt)
+    rows = grid_rows(t_end, dt)
     B = math.isqrt(rows - 1) + 1
     # np.errstate is a context variable: scoped per statement, it cannot leak
     # into the caller's code while the generator is suspended at a yield
@@ -119,7 +129,7 @@ def _blocks(step, y0, t_end, dt, watch=slice(None), run=None):
 
 def _propagate(step, y0, t_end, dt, watch=slice(None), run=None):
     """(times, states) of the `_blocks` run, its rows copied into one array."""
-    out = np.empty((_rows(t_end, dt), len(y0)), dtype=np.result_type(step, y0))
+    out = np.empty((grid_rows(t_end, dt), len(y0)), dtype=np.result_type(step, y0))
     done = 0
     for Y in _blocks(step, y0, t_end, dt, watch, run):
         out[done : done + len(Y)] = Y
@@ -135,7 +145,7 @@ def _wave_step(L, dt):
         return _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
 
 
-def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
+def integrate_wave(L, x0, v0, t_end=T_END, dt=DT) -> Trajectory:
     """RK4 integration of d^2x/dt^2 = -Lx from (x0, v0).
 
     Returns states x(t); velocities ride along in meta["velocities"].
@@ -150,12 +160,12 @@ def integrate_wave(L, x0, v0, t_end=10.0, dt=1e-3) -> Trajectory:
         raise DimensionMismatch("state length does not match L")
     times, states = _propagate(_wave_step(L, dt), np.concatenate([x0, v0]), t_end, dt, slice(n))
     meta = {"velocities": states[:, n:]}
-    if len(states) < _rows(t_end, dt):
+    if len(states) < grid_rows(t_end, dt):
         meta["diverged_at"] = len(states) * dt
     return Trajectory(times=times, states=states[:, :n], meta=meta)
 
 
-def integrate_fundamental(Omega, psi0, sign="+", t_end=10.0, dt=1e-3) -> Trajectory:
+def integrate_fundamental(Omega, psi0, sign="+", t_end=T_END, dt=DT) -> Trajectory:
     """Propagate +-i dpsi/dt = Omega psi, i.e. psi(t) = expm(-+i Omega t) psi0.
 
     The one-step matrix expm(-+i Omega dt) rides along in meta["step"].
@@ -183,7 +193,7 @@ def superpose(traj_plus: Trajectory, traj_minus: Trajectory, c_plus, c_minus) ->
     )
 
 
-def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=10.0, dt=1e-3):
+def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
     """Interaction-picture factorization psi(t) = Psi0(t) psiI(t).
 
     Psi0(t) = diag(exp(-+i omega0 t)) is the free propagator of the root

@@ -24,33 +24,27 @@ class ParseError(InputError):
     def __init__(self, line_no, text):
         super().__init__(f"line {line_no}: cannot parse {text!r}")
         self.line_no = line_no
-        self.text = text
 
 
 class DuplicateEdge(InputError):
     def __init__(self, src, dst):
         super().__init__(f"duplicate edge {src}->{dst}")
-        self.src = src
-        self.dst = dst
 
 
 class SelfLoop(InputError):
     def __init__(self, node):
         super().__init__(f"self-loop at node {node}")
-        self.node = node
 
 
 class NonPositiveWeight(InputError):
     def __init__(self, line_no, weight):
         super().__init__(f"line {line_no}: weight {weight} is not a positive finite number")
         self.line_no = line_no
-        self.weight = weight
 
 
 class NotUtf8(InputError):
     def __init__(self, path, exc):
         super().__init__(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-        self.path = path
 
 
 class EmptyGraph(InputError):
@@ -63,7 +57,6 @@ class DegreeOverflow(InputError):
         super().__init__(
             f"node {node}: the Laplacian's Frobenius norm overflows the float range"
         )
-        self.node = node
 
 
 class NumericalFailure(NetoscError):
@@ -75,8 +68,6 @@ class NumericalFailure(NetoscError):
 class SqrtUndefined(NumericalFailure):
     def __init__(self, eigenvalue, reason):
         super().__init__(f"square root undefined at eigenvalue {eigenvalue}: {reason}")
-        self.eigenvalue = eigenvalue
-        self.reason = reason
 
 
 class ModelViolation(NetoscError):
@@ -97,7 +88,6 @@ class ZeroDegreeNode(ModelViolation):
             f"node {node} has zero out-degree; 1/sqrt(d) is undefined "
             "(add a balancing reverse edge or drop sink nodes)"
         )
-        self.node = node
 
 
 class DimensionMismatch(ModelViolation):

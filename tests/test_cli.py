@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -10,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netosc
@@ -26,7 +27,7 @@ from netosc import (
     sqrt_ops,
 )
 from netosc.cli import COMMANDS, build_parser, run, verify_graph
-from netosc.errors import NumericalFailure
+from netosc.errors import GridMismatch, NumericalFailure
 from netosc.symmetry import symmetrized_eigenvalues
 
 from conftest import (
@@ -359,6 +360,26 @@ def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
     assert json.loads(err.splitlines()[-1])["error"] == "Usage"
 
 
+@pytest.mark.parametrize("command", ["info", "simulate", "verify"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "-0.5"], ["--t-end", "1e5"],
+     ["--dt", "nan"], ["--dt", "inf"], ["--dt", "-0.001"], ["--dt", "0"], ["--dt", "1e-7"]],
+    ids=["t-end-nan", "t-end-inf", "t-end-negative", "t-end-too-many-steps",
+         "dt-nan", "dt-inf", "dt-negative", "dt-0", "dt-too-many-steps"],
+)
+def test_out_of_range_grid_is_one_usage_line(graph_file, command, flags):
+    # the CLI reports the library's own grid check, with its message
+    code, out, err = run_captured([command, "--input", graph_file(sym2())] + flags)
+    assert code == 1 and out == ""
+    json_lines = [line for line in err.splitlines() if line.startswith("{")]
+    (report,) = [json.loads(line) for line in json_lines]
+    args = build_parser().parse_args([command, "--input", "g.csv"] + flags)
+    with pytest.raises(GridMismatch) as exc:
+        dynamics.grid_rows(args.t_end, args.dt)
+    assert report == {"error": "Usage", "detail": f"--t-end / --dt: {exc.value}"}
+
+
 def test_negative_seed_is_usage_error_for_verify(graph_file, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--input", graph_file(sym2()), "--seed", "-1"])
@@ -412,6 +433,19 @@ def test_directory_input_exit_code(tmp_path, capsys):
     assert code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "IsADirectory"
+
+
+@pytest.mark.parametrize(
+    ("name", "error", "errno_"),
+    [("g.csv/x", "NotADirectory", errno.ENOTDIR), ("x" * 5000, "OSError", errno.ENAMETOOLONG)],
+    ids=["path-through-a-file", "name-too-long"],
+)
+def test_unreadable_input_exit_code(tmp_path, capsys, name, error, errno_):
+    (tmp_path / "g.csv").write_text(to_edge_list(ring3()))
+    path = str(tmp_path / name)
+    assert run(["info", "--input", path]) == 2
+    report = single_error_line(capsys)
+    assert report == {"error": error, "detail": f"[Errno {errno_}] {os.strerror(errno_)}: {path!r}"}
 
 
 def single_error_line(capsys):
@@ -643,11 +677,16 @@ def mixed_graph_text(draw):
 
 
 def run_captured(argv):
+    """(exit code, stdout, stderr) of run(argv) with warnings as errors; a usage
+    error leaves through SystemExit and gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(argv)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -836,3 +875,56 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
         assert seen == {lib: 1 for lib in report["after"]}
     assert set(report["before"]) < set(report["after"])
     assert report["after"] == {lib: 2 for lib in report["after"]}
+
+
+# argv fuzz: random subcommands, flags and hostile values, and inputs that cannot be read
+VECTORS = ["1,0,0", "1", "0,1,0,0", "1e308,-1e308,1e308", "nan,0,0", "1,,0", "x", ""]
+ARGV_FLAGS = {
+    "--t-end": ["0", "0.01", "-1", "nan", "inf", "1e400", "1e20", "x", ""],
+    "--dt": ["0.01", "1e100", "0", "-0.001", "-1e-3", "nan", "inf", "1e-30", "x"],
+    "--seed": ["0", "7", "-1", "1.5", "x", str(2**70)],
+    "--format": ["json", "csv", "xml"],
+    "--sign": ["+", "-", "x"],
+    "--x0": VECTORS,
+    "--v0": VECTORS,
+    "--psi0": VECTORS,
+    "--dump-operators": [None, "1"],
+    "--tol": ["1e-9"],
+    "--bogus": [None, "1"],
+    "-x": [None],
+}
+# a graph, a missing file, a directory, a path through a file and a name over NAME_MAX
+ARGV_INPUTS = ["ring3.csv", "missing.csv", ".", "ring3.csv/x", "x" * 5000]
+
+
+@st.composite
+def hostile_argv(draw):
+    argv = [draw(st.sampled_from(sorted(COMMANDS) + ["bogus"]))]
+    argv += ["--input", *draw(st.lists(st.sampled_from(ARGV_INPUTS), min_size=1, max_size=2))]
+    for flag in draw(st.lists(st.sampled_from(sorted(ARGV_FLAGS)), max_size=3)):
+        value = draw(st.sampled_from(ARGV_FLAGS[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=20)  # keeps tier-1 near 10 s and still reaches both OSError repros
+@given(argv=hostile_argv())
+def test_cli_contract_on_hostile_argv(tmp_path_factory, argv):
+    # the grid values that pass the check ask for at most 10^4 steps of ring3
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.getbasetemp())
+    try:
+        with open("ring3.csv", "w", encoding="utf-8") as fh:
+            fh.write(to_edge_list(ring3()))
+        code, out, err = run_captured(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in range(5), argv
+    assert "Traceback" not in err, argv
+    if code:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert "error" in json.loads(lines[-1]), argv
+        assert code == 1 or len(lines) == 1, argv      # only usage errors print a usage line
+    else:
+        assert err == "", argv

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from netosc import (
 )
 from netosc.errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
 from netosc.dynamics import (
+    MAX_STEPS,
     OVERFLOW_LIMIT,
     Trajectory,
     _blocks,
     _propagate,
+    grid_rows,
     recurrence_residual,
     wave_energy_series,
 )
@@ -344,13 +347,19 @@ def grid_runs():
 @pytest.mark.parametrize(
     ("t_end", "dt"),
     [(math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3), (1.0, math.inf), (1.0, math.nan),
-     (1.0, 0.0), (1.0, -1e-3), (1e300, 1e-300)],
+     (1.0, 0.0), (1.0, -1e-3), (1e300, 1e-300), (1e20, 1e-3)],
     ids=["t-inf", "t-nan", "t-negative", "dt-inf", "dt-nan", "dt-0", "dt-negative",
-         "ratio-inf"],
+         "ratio-inf", "too-many-steps"],
 )
 def test_a_bad_grid_fails_with_one_package_error(entry, t_end, dt):
     with pytest.raises(GridMismatch, match=r"^grid needs finite t_end >= 0, dt > 0 and t_end/dt"):
         grid_runs()[entry](t_end, dt)
+
+
+def test_the_step_bound_itself_is_a_valid_grid():
+    assert grid_rows(MAX_STEPS, 1.0) == MAX_STEPS + 1
+    with pytest.raises(GridMismatch):
+        grid_rows(math.nextafter(MAX_STEPS, math.inf), 1.0)
 
 
 def sequential_run(step, y0, rows, watch=slice(None)):
@@ -525,3 +534,16 @@ def test_to_csv_matches_per_cell_formatting(rng):
     for states in (complex_states, complex_states.real.copy()):
         traj = Trajectory(times=times, states=states)
         assert traj.to_csv() == per_cell_csv(traj)
+
+
+def test_to_csv_holds_one_block_of_floats_not_the_run(rng):
+    # every cell as a Python float at once peaks near 5.8x the CSV text; 512-row
+    # blocks peak near 2.1x: the formatted blocks, their join and one block of floats
+    traj = Trajectory(np.arange(3000) * 1e-3, rng.standard_normal((3000, 2)) * (1 + 1j))
+    tracemalloc.start()
+    try:
+        text = traj.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
