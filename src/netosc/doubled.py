@@ -4,21 +4,20 @@ The state interleaves the two branch solutions, (x+_1, x-_1, x+_2, x-_2, ...).
 The structured operator combines a diagonal factor sqrt(D) with an adjacency
 factor tensored against a nilpotent 2x2 block, so its off-diagonal blocks
 appear exactly where links exist; summing the branches recovers every
-solution of the second-order dynamics.  Runs step the real coordinates
-s = (x+ + x-)/sqrt2 and w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]];
-this module builds steps and initial states, and dynamics._blocks runs them.
+solution of the second-order dynamics.  Runs step s = (x+ + x-)/sqrt2 and
+w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]] through dynamics._blocks;
+Theorem 1 is one identity of the step matrices, checked with no run and no RK4.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas, dynamics
 from .dynamics import DT, T_END, Trajectory, _propagate
-from .errors import DimensionMismatch, ZeroDegreeNode
+from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
 E2 = np.eye(2)
@@ -138,23 +137,26 @@ def sum_difference_run(op: StructuredOperator, x_hat0, t_end=T_END, dt=DT) -> Tr
     return Trajectory(times, states)
 
 
-def theorem1_checks(op: StructuredOperator, step, L, x0, v0, t_end=T_END, dt=DT):
-    """Theorem 1 from (x0, v0) under step = structured_step(op, dt), storing no
-    trajectory: the structured and the RK4 wave run advance together, block by block.
-    Returns the final branch sum sqrt2 s and the sup gap |sqrt2 s - x| over the rows
-    before the wave run diverges; fails as sum_difference_run does."""
-    n, L = len(x0), np.asarray(L, dtype=float)
+def final_branch_sum(op: StructuredOperator, step, x0, v0, t_end=T_END, dt=DT) -> np.ndarray:
+    """Branch sum sqrt2 s at the last row of the lifted run, a block at a time; overflow raises."""
     y0 = _sum_difference_state(op, lift_initial_conditions(op.factors, x0, v0))
-    structured = dynamics._blocks(step, y0.real, t_end, dt, run="doubled")
-    wave = dynamics._blocks(
-        dynamics._wave_step(L, dt), np.concatenate([x0, v0]), t_end, dt, slice(n)
-    )
-    gap = 0.0
-    for Y, W in itertools.zip_longest(structured, wave):
-        x = np.sqrt(2.0) * Y[:, :n]
-        if W is not None:
-            gap = max(gap, np.abs(x[: len(W)] - W[:, :n]).max())
-    return x[-1], float(gap)
+    for Y in dynamics._blocks(step, y0.real, t_end, dt, run="doubled"):
+        pass
+    return np.sqrt(2.0) * Y[-1, : len(x0)]
+
+
+def theorem1_residual(op: StructuredOperator, step, wave) -> float:
+    """Theorem 1 as one identity of step matrices: ||S T - T E||_F / ||T (E - I)||_F, for
+    S = structured_step(op, dt), E = dynamics.wave_propagator(L, dt) and T = diag(I, Hd^-1)/sqrt2
+    the lift of (x0, v0) into (s, w).  Hd^-1 L = Hd - Ha gives G T = T [[0, I], [-L, 0]], so
+    S T = T E and sqrt2 s is the wave run on every grid: an exact build reads rounding.  It is
+    the plain norm if the denominator is 0; a non-finite value raises NumericalFailure."""
+    t = np.concatenate([np.ones_like(op.factors.d_sqrt), 1.0 / op.factors.d_sqrt]) / np.sqrt(2.0)
+    TE = t[:, None] * wave
+    residual = np.linalg.norm(step * t - TE) / (np.linalg.norm(TE - np.diag(t)) or 1.0)
+    if not np.isfinite(residual):
+        raise NumericalFailure(f"the Theorem 1 residual of the step matrices is {residual}")
+    return float(residual)
 
 
 def integrate_doubled(op: StructuredOperator, x_hat0, t_end=T_END, dt=DT) -> Trajectory:

@@ -223,25 +223,30 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
     return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 
 
-def recurrence_residual(step, K, dt) -> float:
+def wave_propagator(K, dt) -> np.ndarray:
+    """E = expm([[0, I], [-K, 0]] dt), the exact step of the (x, v) system for x'' = -Kx."""
+    K = np.asarray(K)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the check
+        return _blas.linalg().expm(np.block([[0 * K, np.eye(len(K))], [-K, 0 * K]]) * dt)
+
+
+def recurrence_residual(step, wave, K, dt) -> float:
     """Exact eq22 check of a one-step matrix S: ||P(S + S^-1) - 2 C P||_F / (dt^2 ||K||_F).
 
     P keeps the first n = len(K) coordinates and C = cos(sqrt(K) dt) is the top-left
-    block of expm([[0, I], [-K, 0]] dt), built from K alone.  It is 0 exactly when
-    every run of S obeys x(t + dt) + x(t - dt) = 2 C x(t), the three-term recurrence
+    block of wave = wave_propagator(K, dt).  It is 0 exactly when every run of S
+    obeys x(t + dt) + x(t - dt) = 2 C x(t), the three-term recurrence
     of d^2x/dt^2 = -Kx, so an exact step reads rounding only.  It is the plain norm
     when dt^2 ||K||_F underflows to 0.  S^-1 is inverted from S: an expm(-G dt) would
     cancel against expm(G dt) by construction.  A singular S or a non-finite value
     raises NumericalFailure.
     """
-    K = np.asarray(K)
     n = len(K)
-    C = _blas.linalg().expm(np.block([[0 * K, np.eye(n)], [-K, 0 * K]]) * dt)[:n, :n]
     try:
         R = (step + np.linalg.inv(step))[:n]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"step matrix inversion failed: {exc}") from exc
-    R[:, :n] -= 2 * C
+    R[:, :n] -= 2 * wave[:n, :n]
     residual = np.linalg.norm(R) / (dt * dt * np.linalg.norm(K) or 1.0)
     if not np.isfinite(residual):
         raise NumericalFailure(f"the recurrence residual of the step matrix is {residual}")

@@ -41,6 +41,7 @@ from conftest import (
     star4,
     sym2,
     symmetrized_form,
+    theorem1_bound,
     to_edge_list,
 )
 
@@ -231,6 +232,22 @@ def test_doubled_branch_sum_is_real(graph_file, capsys):
     assert [im for _, im in report["final_branch_sum"]] == [0.0, 0.0, 0.0]
 
 
+def test_theorem1_gap_is_rounding_past_rk4s_stability_limit(capsys, monkeypatch):
+    # dt sqrt(lambda_max) = 2.85 on path5, past RK4's 2 sqrt2: a gap taken against an
+    # RK4 wave run read 807.7 (verify) and 460.7 (doubled), both with exit 0
+    path = os.path.join(os.path.dirname(__file__), "corpus", "graphs", "path5.csv")
+    grid = ["--t-end", "200", "--dt", "1.5"]
+    code, report = run_json(capsys, ["doubled", "--input", path, *grid])
+    assert code == 0 and report["theorem1_gap"] <= theorem1_bound(5)
+    monkeypatch.setattr(dynamics, "_blocks", None)          # verify runs no trajectory
+    gaps = []
+    for argv in (grid, ["--t-end", "0", "--dt", "1.5", "--seed", "7"]):
+        code, reports = run_json(capsys, ["verify", "--input", path, *argv])
+        assert code == 0
+        gaps.append(reports[0]["theorem1_gap"])
+    assert gaps[0] == gaps[1] <= theorem1_bound(5)
+
+
 def test_repeated_runs_share_no_parser_state(graph_file, capsys):
     path = graph_file(ring3())
     first = run_json(capsys, ["simulate", "--input", path, "--t-end", "1"])
@@ -364,9 +381,11 @@ def test_bad_numeric_flag_is_usage_error(graph_file, capsys, flags):
 @pytest.mark.parametrize(
     "flags",
     [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "-0.5"], ["--t-end", "1e5"],
-     ["--dt", "nan"], ["--dt", "inf"], ["--dt", "-0.001"], ["--dt", "0"], ["--dt", "1e-7"]],
+     ["--dt", "nan"], ["--dt", "inf"], ["--dt", "-0.001"], ["--dt", "0"], ["--dt", "1e-7"],
+     ["--t-end", "-1e-3"], ["--dt", "-1e-3"]],
     ids=["t-end-nan", "t-end-inf", "t-end-negative", "t-end-too-many-steps",
-         "dt-nan", "dt-inf", "dt-negative", "dt-0", "dt-too-many-steps"],
+         "dt-nan", "dt-inf", "dt-negative", "dt-0", "dt-too-many-steps",
+         "t-end-negative-exponent", "dt-negative-exponent"],
 )
 def test_out_of_range_grid_is_one_usage_line(graph_file, command, flags):
     # the CLI reports the library's own grid check, with its message

@@ -31,6 +31,7 @@ from netosc.dynamics import (
     grid_rows,
     recurrence_residual,
     wave_energy_series,
+    wave_propagator,
 )
 
 from conftest import (
@@ -146,8 +147,9 @@ def test_superpose_generic_fails_first_order():
 
 @pytest.mark.parametrize("fill", [0.0, np.inf, np.nan])
 def test_recurrence_residual_of_a_singular_or_non_finite_step_fails(fill):
+    K, dt = np.eye(2), 1e-3
     with pytest.raises(NumericalFailure):
-        recurrence_residual(np.full((4, 4), fill), np.eye(2), 1e-3)
+        recurrence_residual(np.full((4, 4), fill), wave_propagator(K, dt), K, dt)
 
 
 def test_superpose_grid_mismatch(rng):
@@ -337,8 +339,8 @@ def grid_runs():
         "doubled": lambda t_end, dt: doubled.integrate_doubled(
             op, doubled.lift_initial_conditions(op.factors, x0, v0), t_end, dt
         ),
-        "theorem1": lambda t_end, dt: doubled.theorem1_checks(
-            op, doubled.structured_step(op, dt), L, x0, v0, t_end, dt
+        "theorem1": lambda t_end, dt: doubled.final_branch_sum(
+            op, doubled.structured_step(op, dt), x0, v0, t_end, dt
         ),
     }
 
