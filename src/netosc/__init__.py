@@ -25,7 +25,6 @@ from .symmetry import (
     SpectralDecomposition,
     check_symmetrizable,
     decompose_laplacian,
-    from_modes,
     mode_interaction_matrix,
     spectral_decomposition,
     symmetrize,

@@ -9,9 +9,9 @@ first call; MKL, Accelerate or a system without /proc yields no pool and the
 scope does nothing.
 
 scipy is imported by `linalg()` on its first call, never at import: `sqrt`,
-`fundamental`, `product-form`, `doubled` and `verify` load it on first use,
-and `info`, `check`, `decompose`, `spectrum`, `centrality`, `flaming` and
-`simulate` never do.  The import maps scipy's own OpenBLAS, so `linalg()`
+`simulate`, `fundamental`, `product-form`, `doubled` and `verify` load it on
+first use, and `info`, `check`, `decompose`, `spectrum`, `centrality` and
+`flaming` never do.  The import maps scipy's own OpenBLAS, so `linalg()`
 reads the pools again; inside an open scope the new pool is set to one thread
 and restored with the others on exit.
 """

@@ -2,12 +2,13 @@
 
 Each integrator builds a fixed one-step matrix and an initial state; one blocked
 core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt), which
-`grid_rows` alone checks, for the library and the CLI alike: RK4 on
-the (x, v) system for d^2x/dt^2 = -Lx (its stages applied once to the identity)
-and the exact propagator expm(-+i Omega dt) for +-i dpsi/dt = Omega psi.  The
-core yields the run in time order, in blocks of about sqrt(rows) rows, and stops
-before the first row that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the
-wave run comes out shorter, a named first-order run raises NumericalFailure.
+`grid_rows` alone checks, for the library and the CLI alike.  The wave and
+first-order runs step exactly, by scipy's expm (`wave_propagator` for
+d^2x/dt^2 = -Lx, expm(-+i Omega dt) for +-i dpsi/dt = Omega psi); RK4 steps only
+the interaction-picture run of `product_form_solve`.  The core yields the run
+in time order, in blocks of about sqrt(rows) rows, and stops before the first
+row that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the wave run comes
+out shorter, a named first-order run raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -137,16 +138,8 @@ def _propagate(step, y0, t_end, dt, watch=slice(None), run=None):
     return np.arange(done) * dt, out[:done]
 
 
-def _wave_step(L, dt):
-    """RK4 step of the (x, v) system for d^2x/dt^2 = -Lx: its stages applied once to I."""
-    n = L.shape[0]
-    A = np.block([[np.zeros((n, n)), np.eye(n)], [-L, np.zeros((n, n))]])
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step ends the run
-        return _rk4_step(lambda t, y: A @ y, 0.0, np.eye(2 * n), dt)
-
-
 def integrate_wave(L, x0, v0, t_end=T_END, dt=DT) -> Trajectory:
-    """RK4 integration of d^2x/dt^2 = -Lx from (x0, v0).
+    """Exact integration of d^2x/dt^2 = -Lx from (x0, v0), stepped by wave_propagator(L, dt).
 
     Returns states x(t); velocities ride along in meta["velocities"].
     When x overflows (non-finite or |x| > 1e12) the trajectory is truncated
@@ -158,7 +151,8 @@ def integrate_wave(L, x0, v0, t_end=T_END, dt=DT) -> Trajectory:
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (n,) or v0.shape != (n,):
         raise DimensionMismatch("state length does not match L")
-    times, states = _propagate(_wave_step(L, dt), np.concatenate([x0, v0]), t_end, dt, slice(n))
+    y0 = np.concatenate([x0, v0])
+    times, states = _propagate(wave_propagator(L, dt), y0, t_end, dt, slice(n))
     meta = {"velocities": states[:, n:]}
     if len(states) < grid_rows(t_end, dt):
         meta["diverged_at"] = len(states) * dt
@@ -226,7 +220,7 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
 def wave_propagator(K, dt) -> np.ndarray:
     """E = expm([[0, I], [-K, 0]] dt), the exact step of the (x, v) system for x'' = -Kx."""
     K = np.asarray(K)
-    with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the check
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core or the check
         return _blas.linalg().expm(np.block([[0 * K, np.eye(len(K))], [-K, 0 * K]]) * dt)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,15 +52,6 @@ class WeightedDigraph:
         A = np.zeros((self.n, self.n))
         A[src, dst] = w
         return A
-
-    def to_json(self) -> str:
-        """Stable-key JSON export of the graph."""
-        payload = {
-            "edges": [[self.labels[s], self.labels[d], w] for s, d, w in sorted(self.edges)],
-            "labels": list(self.labels),
-            "n": self.n,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _build(rows) -> WeightedDigraph:

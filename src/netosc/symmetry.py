@@ -162,14 +162,6 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     return sd.P.T @ (np.sqrt(sd.m) * x)
 
 
-def from_modes(psi: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
-    """Mode coordinates -> node coordinates, x = M^{-1/2} P psi."""
-    psi = np.asarray(psi)
-    if psi.shape != (sd.P.shape[0],):
-        raise DimensionMismatch(f"mode length {psi.shape} vs n={sd.P.shape[0]}")
-    return (sd.P @ psi) / np.sqrt(sd.m)
-
-
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P."""
     if LI.shape != sd.P.shape:

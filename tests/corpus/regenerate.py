@@ -6,8 +6,11 @@ Run from the repository root with the package importable:
 
 Every case is run in-process through netosc.cli.run, exactly as
 tests/test_corpus.py replays it; expected.json keeps its argv, exit code,
-stdout and stderr.  A change that regenerates the corpus lists each changed
-key in CHANGES.md.
+stdout and stderr.  A recorded case whose run still passes the replay's
+comparison keeps its recording byte for byte, so BLAS rounding inside the
+tolerance moves nothing; only a case that fails it, or a new case, is
+rewritten.  A change that regenerates the corpus lists each changed key in
+CHANGES.md.
 """
 
 import json
@@ -29,7 +32,7 @@ from conftest import (  # noqa: E402
     star4,
     to_edge_list,
 )
-from test_corpus import CORPUS, run_case  # noqa: E402
+from test_corpus import CORPUS, compare_case, load_cases, run_case  # noqa: E402
 
 GOOD = {
     "ring3": to_edge_list(ring3()),
@@ -122,13 +125,20 @@ def main():
     for name, data in BAD.items():
         (graphs / f"{name}.csv").write_bytes(data)
     os.environ["COLUMNS"] = "80"
-    recorded = []
+    old = {}
+    if (CORPUS / "expected.json").exists():
+        old = {tuple(case["argv"]): case for case in load_cases()}
+    recorded, rewritten = [], 0
     for argv in cases():
         code, out, err = run_case(argv)
-        recorded.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+        case = old.get(tuple(argv))
+        if case is None or compare_case(case, code, out, err):
+            case = {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+            rewritten += 1
+        recorded.append(case)
     text = json.dumps(recorded, indent=1, ensure_ascii=False) + "\n"
     (CORPUS / "expected.json").write_text(text, encoding="utf-8")
-    print(f"{len(recorded)} cases, {len(text)} bytes")
+    print(f"{len(recorded)} cases, {rewritten} rewritten, {len(text)} bytes")
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def test_criterion_4_energy_conservation():
         E = wave_energy_series(traj, sd)
         worst = max(worst, (E.max() - E.min()) / E.max())
     assert worst <= 1e-6
-    report(4, f"max relative energy drift {worst:.2e} <= 1e-6 (RK4, dt=1e-3, t_end=10)")
+    report(4, f"max relative energy drift {worst:.2e} <= 1e-6 (exact expm step, dt=1e-3, t_end=10)")
 
 
 def test_criterion_5_degree_centrality():

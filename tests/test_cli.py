@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,20 +233,45 @@ def test_doubled_branch_sum_is_real(graph_file, capsys):
     assert [im for _, im in report["final_branch_sum"]] == [0.0, 0.0, 0.0]
 
 
+PATH5 = os.path.join(os.path.dirname(__file__), "corpus", "graphs", "path5.csv")
+
+
 def test_theorem1_gap_is_rounding_past_rk4s_stability_limit(capsys, monkeypatch):
     # dt sqrt(lambda_max) = 2.85 on path5, past RK4's 2 sqrt2: a gap taken against an
     # RK4 wave run read 807.7 (verify) and 460.7 (doubled), both with exit 0
-    path = os.path.join(os.path.dirname(__file__), "corpus", "graphs", "path5.csv")
     grid = ["--t-end", "200", "--dt", "1.5"]
-    code, report = run_json(capsys, ["doubled", "--input", path, *grid])
+    code, report = run_json(capsys, ["doubled", "--input", PATH5, *grid])
     assert code == 0 and report["theorem1_gap"] <= theorem1_bound(5)
     monkeypatch.setattr(dynamics, "_blocks", None)          # verify runs no trajectory
     gaps = []
     for argv in (grid, ["--t-end", "0", "--dt", "1.5", "--seed", "7"]):
-        code, reports = run_json(capsys, ["verify", "--input", path, *argv])
+        code, reports = run_json(capsys, ["verify", "--input", PATH5, *argv])
         assert code == 0
         gaps.append(reports[0]["theorem1_gap"])
     assert gaps[0] == gaps[1] <= theorem1_bound(5)
+
+
+def simulate_final_state(capsys, t_end, dt):
+    code, report = run_json(capsys, ["simulate", "--input", PATH5, "--t-end", t_end, "--dt", dt])
+    assert code == 0 and "diverged_at" not in report
+    return np.array(report["final_state"])
+
+
+def test_simulate_is_the_exact_wave_run(capsys):
+    # path5 is stable (lambda_max = 3.62): the exact run from |x0| = 1 stays of order 1
+    L = build_matrices(load_edge_list(PATH5))[2]
+    G = np.block([[np.zeros((5, 5)), np.eye(5)], [-L, np.zeros((5, 5))]])
+    want = (scipy.linalg.expm(200 * G) @ np.eye(10)[0])[:5]
+    got = simulate_final_state(capsys, "200", "1.0")
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_simulate_does_not_depend_on_the_step(capsys):
+    # dt sqrt(lambda_max) = 2.85 at dt = 1.5 is past RK4's stability limit 2 sqrt2;
+    # the exact step holds on any grid
+    coarse = simulate_final_state(capsys, "199.5", "1.5")
+    fine = simulate_final_state(capsys, "199.5", "1e-3")
+    assert np.abs(coarse - fine).max() <= 1e-9 * np.abs(fine).max()
 
 
 def test_repeated_runs_share_no_parser_state(graph_file, capsys):
@@ -435,7 +461,7 @@ def test_fundamental_step_that_overflows_fails_with_one_line(graph_file, capsys)
 
 @pytest.mark.parametrize("command", ["simulate", "product-form", "doubled", "verify"])
 def test_non_finite_rk4_step_writes_no_warning(graph_file, command):
-    # every RK4 stage overflows at dt = 1e100; the one-row grid still succeeds, and
+    # every step matrix is non-finite at dt = 1e100; the one-row grid still succeeds, and
     # verify's recurrence check of the non-finite step fails with its one JSON line
     argv = [command, "--input", graph_file(ring3()), "--t-end", "0", "--dt", "1e100"]
     code, out, err = run_captured(argv)
@@ -811,7 +837,7 @@ def test_output_does_not_depend_on_blas_threads_before_run(blas_pools, graph_fil
     assert outs[:2] == outs[2:]
 
 
-SCIPY_FREE = ["info", "check", "decompose", "spectrum", "centrality", "flaming", "simulate"]
+SCIPY_FREE = ["info", "check", "decompose", "spectrum", "centrality", "flaming"]
 
 # Runs in a fresh interpreter: this test process imported scipy long ago.
 DEFERRED_SCIPY_SCRIPT = """
@@ -857,6 +883,8 @@ with contextlib.redirect_stdout(io.StringIO()):
             code = run([command, "--input", path, "--t-end", "0.01"])
             report["commands"].append([command, code, scipy_modules()])
     report["before"] = counts()
+    report["simulate"] = run(["simulate", "--input", oneway, "--t-end", "0.01"])
+    report["simulate_loads"] = scipy_modules()
     report["sqrt"] = run(["sqrt", "--input", oneway])
 report.update(inside=inside, after=counts())
 print(json.dumps(report))
@@ -884,6 +912,8 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
         for path in (balanced, oneway)
         for command in SCIPY_FREE
     ]
+    # simulate steps the wave equation by scipy's expm
+    assert report["simulate"] == 0 and "scipy.linalg" in report["simulate_loads"]
     assert report["sqrt"] == 0
     if not report["after"]:
         pytest.skip("no OpenBLAS loaded")

@@ -352,25 +352,23 @@ def test_interleave_stacked_rows(rng):
 
 
 
-def theorem1_gap(g, x0, v0, t_end, dt):
-    """Sup gap between the structured run's branch sum and the RK4 wave run."""
-    f = sparse_factors(g)
-    run = sum_difference_run(hat_H_structured(f), lift_initial_conditions(f, x0, v0), t_end, dt)
-    wave = integrate_wave(build_matrices(g)[2], x0, v0, t_end=t_end, dt=dt)
-    return np.abs(np.sqrt(2.0) * run.states[:, : g.n] - wave.states).max()
-
-
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12))
-def test_theorem1_gap_falls_at_rk4_order(seed, n):
-    # the structured run is exact up to rounding, so the gap is RK4's error:
-    # each halving of dt divides it by about 2^4 = 16
+def test_structured_and_wave_runs_agree_to_rounding(seed, n):
+    # both runs take exact steps, so the structured run's branch sum sqrt2 s is the wave
+    # run up to rounding that grows at most linearly in the rows: measured at most
+    # 0.076 eps sqrt(n) rows max|x| on 60 graphs x 4 grids, a margin of 13 to this bound
     rng = np.random.default_rng(seed)
     g = random_digraph(rng, n)
     x0, v0 = rng.standard_normal(n), rng.standard_normal(n)
-    scale = np.sqrt(np.linalg.norm(build_matrices(g)[2]))
-    gaps = [theorem1_gap(g, x0, v0, 16 / scale, 0.08 / scale / 2**k) for k in range(4)]
-    ratios = np.divide(gaps[:-1], gaps[1:])
-    assert np.all((12 <= ratios) & (ratios <= 20)), ratios
+    L, f = build_matrices(g)[2], sparse_factors(g)
+    op, x_hat0 = hat_H_structured(f), lift_initial_conditions(f, x0, v0)
+    scale = np.sqrt(np.linalg.norm(L))
+    for k in range(4):
+        t_end, dt = 16 / scale, 0.08 / scale / 2**k
+        run = sum_difference_run(op, x_hat0, t_end, dt)
+        wave = integrate_wave(L, x0, v0, t_end=t_end, dt=dt).states
+        bound = np.finfo(float).eps * np.sqrt(n) * len(wave) * np.abs(wave).max()
+        assert np.abs(np.sqrt(2.0) * run.states[:, :n] - wave).max() <= bound
 
 
 @given(

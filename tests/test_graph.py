@@ -111,12 +111,6 @@ def test_edge_list_round_trip(tmp_path, rng):
     assert to_edge_list(load_edge_list(p)) == text
 
 
-def test_json_export_stable():
-    g = from_edges([("b", "a", 2.0), ("a", "b", 1.0)])
-    assert g.to_json() == g.to_json()
-    assert '"n": 2' in g.to_json()
-
-
 def test_from_edges_empty():
     with pytest.raises(EmptyGraph):
         from_edges([])
