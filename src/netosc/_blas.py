@@ -8,12 +8,13 @@ n = 1000 two threads win again.  The pools are found in /proc/self/maps on the
 first call; MKL, Accelerate or a system without /proc yields no pool and the
 scope does nothing.
 
-scipy is imported by `linalg()` on its first call, never at import: `sqrt`,
-`simulate`, `fundamental`, `product-form`, `doubled` and `verify` load it on
-first use, and `info`, `check`, `decompose`, `spectrum`, `centrality` and
-`flaming` never do.  The import maps scipy's own OpenBLAS, so `linalg()`
-reads the pools again; inside an open scope the new pool is set to one thread
-and restored with the others on exit.
+scipy is imported by `linalg()` on its first call, never at import.  Only
+`sqrt_ops` calls it, for the Schur form and `dtrsyl`: `sqrt`, `fundamental`
+and `product-form` load scipy on first use, and `info`, `check`, `decompose`,
+`spectrum`, `centrality`, `flaming`, `simulate`, `doubled` and `verify` never
+do.  The import maps scipy's own OpenBLAS, so `linalg()` reads the pools
+again; inside an open scope the new pool is set to one thread and restored
+with the others on exit.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, dynamics
+from . import dynamics
 from .dynamics import DT, T_END, Trajectory, _propagate
 from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
@@ -115,7 +115,7 @@ def structured_step(op: StructuredOperator, dt) -> np.ndarray:
     """The real step expm(G dt), G = [[0, Hd], [Ha - Hd, 0]], of the (s, w) coordinates."""
     Hd, Ha = np.diag(op.factors.d_sqrt), op.factors.Ha
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
-        return _blas.linalg().expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
+        return dynamics.expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
 
 
 def _sum_difference_state(op: StructuredOperator, x_hat0) -> np.ndarray:
@@ -184,7 +184,8 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
 def projection_identity_check(op: StructuredOperator, x_hat) -> float:
     """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x for the structured
     operator; for a (k, 2n) array of doubled states, the largest over its rows."""
-    x_hat = np.atleast_2d(np.asarray(x_hat, dtype=complex))
+    x_hat = np.atleast_2d(x_hat)
+    x_hat = x_hat.astype(np.result_type(x_hat, float))
     H_hat_T = op.matrix.T
     lhs = branch_sum(x_hat @ H_hat_T @ H_hat_T)
     rhs = branch_sum(x_hat) @ laplacian_from_factors(op.factors).T

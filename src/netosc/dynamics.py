@@ -3,9 +3,10 @@
 Each integrator builds a fixed one-step matrix and an initial state; one blocked
 core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt), which
 `grid_rows` alone checks, for the library and the CLI alike.  The wave and
-first-order runs step exactly, by scipy's expm (`wave_propagator` for
-d^2x/dt^2 = -Lx, expm(-+i Omega dt) for +-i dpsi/dt = Omega psi); RK4 steps only
-the interaction-picture run of `product_form_solve`.  The core yields the run
+first-order runs step exactly, by `expm`, a numpy Taylor expm that also builds
+the structured step of `doubled` (`wave_propagator` for d^2x/dt^2 = -Lx,
+expm(-+i Omega dt) for +-i dpsi/dt = Omega psi); RK4 steps only the
+interaction-picture run of `product_form_solve`.  The core yields the run
 in time order, in blocks of about sqrt(rows) rows, and stops before the first
 row that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the wave run comes
 out shorter, a named first-order run raises NumericalFailure.
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _blas
 from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
 from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition, symmetrized_eigenvalues
@@ -170,7 +170,7 @@ def integrate_fundamental(Omega, psi0, sign="+", t_end=T_END, dt=DT) -> Trajecto
         raise DimensionMismatch("state length does not match Omega")
     s = _phase(sign)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
-        step = _blas.linalg().expm(s * Omega * dt)
+        step = expm(s * Omega * dt)
     times, states = _propagate(step, psi, t_end, dt, run="fundamental-equation")
     return Trajectory(times=times, states=states, meta={"step": step})
 
@@ -217,11 +217,55 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
     return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 
 
+# (p, c, theta_m) of each Taylor degree m = p c - 1: Paterson-Stockmeyer evaluates it in
+# p + c - 2 products, and it reaches double precision for ||X||_1 <= theta_m (A. H. Al-Mohy
+# and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1)
+_TAYLOR = (
+    (2, 2, 1.39e-5), (2, 3, 2.40e-3), (3, 3, 5.00e-2),
+    (3, 4, 2.14e-1), (4, 4, 6.41e-1), (4, 5, 1.26),
+)
+
+
+def expm(A) -> np.ndarray:
+    """The matrix exponential of a square A, by a Taylor polynomial with scaling and squaring.
+
+    The degree m and the squarings s minimise the products, p + c - 2 + s, subject to
+    ||A||_1 / 2^s <= theta_m, fewer squarings breaking a tie.  Q = expm(A / 2^s) - I is
+    carried apart from I, squared as Q <- 2Q + Q^2, and I is added last, so a step close to I
+    keeps its small part to full precision.  A non-finite ||A||_1 gives all NaN.
+    """
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, float))
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=A.dtype)
+    _, s, p, c = min(
+        (p + c - 2 + s, s, p, c)
+        for p, c, theta in _TAYLOR
+        for s in [math.ceil(math.log2(norm) - math.log2(theta)) if norm > theta else 0]
+    )
+    X = A * 0.5**s
+    powers = [np.eye(len(A)), X]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ X)
+
+    def chunk(j):
+        """The sum of X^i / (j p + i)! over i < p, without the I of j = 0."""
+        return sum(powers[i] / math.factorial(j * p + i) for i in range(j == 0, p))
+
+    Q = chunk(c - 1)
+    for j in reversed(range(c - 1)):
+        Q = Q @ powers[p] + chunk(j)
+    for _ in range(s):
+        Q = 2 * Q + Q @ Q
+    return Q + powers[0]
+
+
 def wave_propagator(K, dt) -> np.ndarray:
     """E = expm([[0, I], [-K, 0]] dt), the exact step of the (x, v) system for x'' = -Kx."""
     K = np.asarray(K)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core or the check
-        return _blas.linalg().expm(np.block([[0 * K, np.eye(len(K))], [-K, 0 * K]]) * dt)
+        return expm(np.block([[0 * K, np.eye(len(K))], [-K, 0 * K]]) * dt)
 
 
 def recurrence_residual(step, wave, K, dt) -> float:
@@ -231,13 +275,13 @@ def recurrence_residual(step, wave, K, dt) -> float:
     block of wave = wave_propagator(K, dt).  It is 0 exactly when every run of S
     obeys x(t + dt) + x(t - dt) = 2 C x(t), the three-term recurrence
     of d^2x/dt^2 = -Kx, so an exact step reads rounding only.  It is the plain norm
-    when dt^2 ||K||_F underflows to 0.  S^-1 is inverted from S: an expm(-G dt) would
-    cancel against expm(G dt) by construction.  A singular S or a non-finite value
-    raises NumericalFailure.
+    when dt^2 ||K||_F underflows to 0.  P S^-1 is solved from S, as n right-hand sides
+    of S^T: an expm(-G dt) would cancel against expm(G dt) by construction.  A singular
+    S or a non-finite value raises NumericalFailure.
     """
     n = len(K)
     try:
-        R = (step + np.linalg.inv(step))[:n]
+        R = step[:n] + np.linalg.solve(step.T, np.eye(len(step))[:, :n]).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"step matrix inversion failed: {exc}") from exc
     R[:, :n] -= 2 * wave[:n, :n]

@@ -837,13 +837,19 @@ def test_output_does_not_depend_on_blas_threads_before_run(blas_pools, graph_fil
     assert outs[:2] == outs[2:]
 
 
-SCIPY_FREE = ["info", "check", "decompose", "spectrum", "centrality", "flaming"]
+SCIPY_FREE = [
+    ["info"], ["check"], ["decompose"], ["spectrum"], ["centrality"], ["flaming"],
+    ["simulate"], ["simulate", "--format", "csv"], ["doubled"], ["doubled", "--format", "csv"],
+    ["verify"],
+]
+# each takes a Schur root; sqrt comes first, so it is the one whose call imports scipy
+SCIPY_LOADING = [["sqrt"], ["fundamental"], ["product-form"]]
 
 # Runs in a fresh interpreter: this test process imported scipy long ago.
 DEFERRED_SCIPY_SCRIPT = """
 import contextlib, ctypes, io, json, sys
 import netosc, netosc.cli
-from netosc import sqrt_ops
+from netosc import _blas, sqrt_ops
 from netosc.cli import run
 
 def scipy_modules():
@@ -869,23 +875,30 @@ def counts():
         found[lib] = get()
     return found
 
-oneway, balanced, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
-report = {"import": scipy_modules(), "commands": []}
-inside = []
+oneway, balanced = sys.argv[1], sys.argv[2]
+free, loading = json.loads(sys.argv[3]), json.loads(sys.argv[4])
+report = {"import": scipy_modules(), "commands": [], "loading": []}
+inside, deferred = [], []
 sylvester = sqrt_ops._sylvester
 def spy(*args):
     inside.append(counts())
     return sylvester(*args)
 sqrt_ops._sylvester = spy
+linalg = _blas.linalg
+def linalg_spy():
+    deferred.append(True)
+    return linalg()
+_blas.linalg = linalg_spy
 with contextlib.redirect_stdout(io.StringIO()):
     for path in (balanced, oneway):
-        for command in commands:
-            code = run([command, "--input", path, "--t-end", "0.01"])
-            report["commands"].append([command, code, scipy_modules()])
+        for argv in free:
+            code = run([*argv, "--input", path, "--t-end", "0.01"])
+            report["commands"].append([argv, code, scipy_modules()])
     report["before"] = counts()
-    report["simulate"] = run(["simulate", "--input", oneway, "--t-end", "0.01"])
-    report["simulate_loads"] = scipy_modules()
-    report["sqrt"] = run(["sqrt", "--input", oneway])
+    for argv in loading:
+        deferred.clear()
+        code = run([*argv, "--input", oneway, "--t-end", "0.01"])
+        report["loading"].append([argv, code, bool(deferred), "scipy.linalg" in sys.modules])
 report.update(inside=inside, after=counts())
 print(json.dumps(report))
 """
@@ -899,22 +912,23 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(netosc.__file__)), env.get("PYTHONPATH")])
     )
+    argv = [oneway, balanced, json.dumps(SCIPY_FREE), json.dumps(SCIPY_LOADING)]
     proc = subprocess.run(
-        [sys.executable, "-c", DEFERRED_SCIPY_SCRIPT, oneway, balanced, *SCIPY_FREE],
+        [sys.executable, "-c", DEFERRED_SCIPY_SCRIPT, *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["import"] == []
-    # centrality refuses the one-way graph (model violation, exit 4)
+    # centrality refuses the one-way graph (model violation, exit 4); simulate, doubled
+    # and verify build their steps with dynamics.expm, in JSON and in CSV alike
     assert report["commands"] == [
-        [command, 4 if (path, command) == (oneway, "centrality") else 0, []]
+        [command, 4 if (path, command) == (oneway, ["centrality"]) else 0, []]
         for path in (balanced, oneway)
         for command in SCIPY_FREE
     ]
-    # simulate steps the wave equation by scipy's expm
-    assert report["simulate"] == 0 and "scipy.linalg" in report["simulate_loads"]
-    assert report["sqrt"] == 0
+    # each Schur root calls the deferred import, and the first call loads scipy
+    assert report["loading"] == [[command, 0, True, True] for command in SCIPY_LOADING]
     if not report["after"]:
         pytest.skip("no OpenBLAS loaded")
     # the Schur root of this one-way graph joins blocks by Sylvester solves,

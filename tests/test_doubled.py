@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netosc import build_matrices, from_edges, integrate_wave
@@ -253,7 +253,11 @@ def test_projection_identity(rng):
         xh = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert projection_identity_check(op, xh) <= 1e-10
     assert projection_identity_check(op, np.zeros((3, 8))) == 0.0
-    assert projection_identity_check(op, rng.standard_normal((100, 8))) <= 1e-10
+    rows = rng.standard_normal((100, 8))
+    assert projection_identity_check(op, rows) <= 1e-10
+    # real rows take real products and read the value of the same rows cast to complex
+    real, cast = projection_identity_check(op, rows), projection_identity_check(op, rows + 0j)
+    assert abs(real - cast) <= 1e-15
 
 
 def test_projection_identity_cancellation(rng):
@@ -375,11 +379,16 @@ def test_structured_and_wave_runs_agree_to_rounding(seed, n):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
     balanced=st.booleans(),
-    dt=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]),
+    dt=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.5]),
 )
+@example(seed=10, n=4, balanced=True, dt=1.5)
+@example(seed=1, n=2, balanced=False, dt=1e-3)
 def test_steps_obey_theorem1_up_to_rounding(seed, n, balanced, dt):
     # Theorem 1 as one operator identity, S T = T E: the structured step and the
-    # exact wave step agree through the lift T = diag(I, Hd^-1)/sqrt2
+    # exact wave step agree through the lift T = diag(I, Hd^-1)/sqrt2.  At dt = 1.5 the
+    # steps are squared: on the first example, a balanced 4-node graph, scipy's expm
+    # reads 45.7 eps sqrt(n).  On the second, an expm that keeps I inside its Taylor
+    # polynomial and its squarings reads 16 times the bound
     rng = np.random.default_rng(seed)
     g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
     op = hat_H_structured(sparse_factors(g))

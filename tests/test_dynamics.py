@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netosc import (
@@ -28,6 +29,7 @@ from netosc.dynamics import (
     Trajectory,
     _blocks,
     _propagate,
+    expm,
     grid_rows,
     recurrence_residual,
     wave_energy_series,
@@ -549,3 +551,85 @@ def test_to_csv_holds_one_block_of_floats_not_the_run(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1e-4, 0.3, 1.0, 2.5, 40.0, 1e3])
+def test_expm_of_a_rotation_generator_is_cos_and_sin(theta):
+    # the wave generator of one node with L = theta^2 and dt = 1; its sine keeps its
+    # relative precision at small theta because expm - I is carried apart from I
+    got = expm(np.array([[0.0, theta], [-theta, 0.0]]))
+    c, s = math.cos(theta), math.sin(theta)
+    assert np.abs(np.diag(got) - c).max() <= 4 * EPS * max(1.0, theta)
+    assert np.abs([got[0, 1] - s, got[1, 0] + s]).max() <= 4 * EPS * theta
+
+
+def test_expm_of_a_nilpotent_matrix_is_its_finite_series():
+    N = np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1) / 3      # ||N||_1 = 8: squared
+    got = expm(N)
+    want = np.eye(4) + N + N @ N / 2 + N @ N @ N / 6
+    assert np.array_equal(np.tril(got), np.eye(4))
+    assert np.abs(got - want).max() <= 4 * EPS * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "d", [[-3.0, 0.5, 2.0, 10.0], [5j, -2 + 3j, 0.1 - 40j, 1e-9]], ids=["real", "complex"]
+)
+def test_expm_of_a_diagonal_matrix_is_the_exponential_of_each_entry(d):
+    d = np.array(d)
+    got = expm(np.diag(d))
+    assert got.dtype == d.dtype
+    assert np.array_equal(got, np.diag(np.diag(got)))
+    assert np.abs(np.diag(got) / np.exp(d) - 1).max() <= 4 * EPS * np.abs(d).max()
+
+
+@pytest.mark.parametrize("x", [-2.0, 0.7, 3j, 25.0])
+def test_expm_of_a_1x1_matrix_is_exp(x):
+    got = expm(np.array([[x]]))
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] / np.exp(x) - 1) <= 4 * EPS * max(1.0, abs(x))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_of_zero_is_exactly_the_identity(dtype):
+    assert np.array_equal(expm(np.zeros((3, 3), dtype=dtype)), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)],
+    ids=["nan", "inf", "-inf", "inf-imag", "nan-complex"],
+)
+def test_expm_of_a_non_finite_matrix_is_nan_without_a_warning(bad):
+    A = np.eye(3, dtype=type(bad))
+    A[0, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(A)
+    assert got.shape == A.shape and got.dtype == A.dtype
+    assert np.isnan(got).all()
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    balanced=st.booleans(),
+    structured=st.booleans(),
+    dt=st.floats(1e-4, 1.5),
+)
+def test_expm_matches_scipy_on_wave_and_structured_generators(seed, n, balanced, structured, dt):
+    # scipy's Pade expm is an independent oracle; it alone loses up to a few hundred
+    # eps here, where a wrong degree, bound or squaring loses far more
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
+    if structured:
+        f = doubled.sparse_factors(g)
+        Hd = np.diag(f.d_sqrt)
+        G = np.block([[0 * Hd, Hd], [f.Ha - Hd, 0 * Hd]])
+    else:
+        L = build_matrices(g)[2]
+        G = np.block([[0 * L, np.eye(n)], [-L, 0 * L]])
+    want = scipy.linalg.expm(G * dt)
+    assert np.linalg.norm(expm(G * dt) - want) <= 4096 * EPS * np.linalg.norm(want)
