@@ -6,6 +6,8 @@ factor tensored against a nilpotent 2x2 block, so its off-diagonal blocks
 appear exactly where links exist; summing the branches recovers every
 solution of the second-order dynamics.  Runs step s = (x+ + x-)/sqrt2 and
 w = -i (x+ - x-)/sqrt2 under G = [[0, Hd], [Ha - Hd, 0]] through dynamics._blocks;
+the step expm(G dt) comes from dynamics.offdiag_expm, the even/odd series in n x n
+products of Hd and Ha - Hd that also builds the wave step.
 Theorem 1 is one identity of the step matrices, checked with no run and no RK4.
 """
 
@@ -78,9 +80,8 @@ def hat_H_structured(f: SparseFactors) -> StructuredOperator:
 
 def offdiag_block_pattern(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Boolean n x n mask: 2x2 block (i, j), i != j, has any entry above tol."""
-    n = matrix.shape[0] // 2
-    blocks = np.abs(matrix).reshape(n, 2, n, 2).max(axis=(1, 3))
-    pattern = blocks > tol
+    a = np.abs(matrix) > tol
+    pattern = a[0::2, 0::2] | a[0::2, 1::2] | a[1::2, 0::2] | a[1::2, 1::2]
     np.fill_diagonal(pattern, False)
     return pattern
 
@@ -113,9 +114,9 @@ def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
 
 def structured_step(op: StructuredOperator, dt) -> np.ndarray:
     """The real step expm(G dt), G = [[0, Hd], [Ha - Hd, 0]], of the (s, w) coordinates."""
-    Hd, Ha = np.diag(op.factors.d_sqrt), op.factors.Ha
+    d_sqrt, Ha = op.factors.d_sqrt, op.factors.Ha
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
-        return dynamics.expm(np.block([[0 * Hd, Hd], [Ha - Hd, 0 * Hd]]) * dt)
+        return dynamics.offdiag_expm(d_sqrt * dt, (Ha - np.diag(d_sqrt)) * dt)
 
 
 def _sum_difference_state(op: StructuredOperator, x_hat0) -> np.ndarray:

@@ -3,13 +3,15 @@
 Each integrator builds a fixed one-step matrix and an initial state; one blocked
 core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt), which
 `grid_rows` alone checks, for the library and the CLI alike.  The wave and
-first-order runs step exactly, by `expm`, a numpy Taylor expm that also builds
-the structured step of `doubled` (`wave_propagator` for d^2x/dt^2 = -Lx,
-expm(-+i Omega dt) for +-i dpsi/dt = Omega psi); RK4 steps only the
-interaction-picture run of `product_form_solve`.  The core yields the run
-in time order, in blocks of about sqrt(rows) rows, and stops before the first
-row that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the wave run comes
-out shorter, a named first-order run raises NumericalFailure.
+first-order runs step exactly.  `offdiag_expm` sums the even and odd Taylor series
+of a generator [[0, diag(b)], [C, 0]] in its n x n blocks and builds the wave step
+(`wave_propagator` for d^2x/dt^2 = -Lx) and the structured step of `doubled`;
+`expm`, a numpy Taylor expm of a general matrix, builds expm(-+i Omega dt) for
++-i dpsi/dt = Omega psi.  RK4 steps only the interaction-picture run of
+`product_form_solve`.  The core yields the run in time order, in blocks of about
+sqrt(rows) rows, and stops before the first row that is non-finite or exceeds
+OVERFLOW_LIMIT in modulus: the wave run comes out shorter, a named first-order
+run raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -219,31 +221,39 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
 
 # (p, c, theta_m) of each Taylor degree m = p c - 1: Paterson-Stockmeyer evaluates it in
 # p + c - 2 products, and it reaches double precision for ||X||_1 <= theta_m (A. H. Al-Mohy
-# and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1)
+# and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1); `offdiag_expm` sums
+# the series to a degree of at least m
 _TAYLOR = (
     (2, 2, 1.39e-5), (2, 3, 2.40e-3), (3, 3, 5.00e-2),
     (3, 4, 2.14e-1), (4, 4, 6.41e-1), (4, 5, 1.26),
 )
 
 
+def _taylor_choice(norm):
+    """(p, c, s) of the Taylor step for ||X||_1 = norm: the degree m = p c - 1 and the
+    squarings s minimise the products, p + c - 2 + s, subject to norm / 2^s <= theta_m,
+    fewer squarings breaking a tie."""
+    _, s, p, c = min(
+        (p + c - 2 + s, s, p, c)
+        for p, c, theta in _TAYLOR
+        for s in [math.ceil(math.log2(norm) - math.log2(theta)) if norm > theta else 0]
+    )
+    return p, c, s
+
+
 def expm(A) -> np.ndarray:
     """The matrix exponential of a square A, by a Taylor polynomial with scaling and squaring.
 
-    The degree m and the squarings s minimise the products, p + c - 2 + s, subject to
-    ||A||_1 / 2^s <= theta_m, fewer squarings breaking a tie.  Q = expm(A / 2^s) - I is
-    carried apart from I, squared as Q <- 2Q + Q^2, and I is added last, so a step close to I
-    keeps its small part to full precision.  A non-finite ||A||_1 gives all NaN.
+    The degree and the squarings come from `_taylor_choice(||A||_1)`.  Q = expm(A / 2^s) - I
+    is carried apart from I, squared as Q <- 2Q + Q^2, and I is added last, so a step close
+    to I keeps its small part to full precision.  A non-finite ||A||_1 gives all NaN.
     """
     A = np.asarray(A)
     A = A.astype(np.result_type(A, float))
     norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full(A.shape, np.nan, dtype=A.dtype)
-    _, s, p, c = min(
-        (p + c - 2 + s, s, p, c)
-        for p, c, theta in _TAYLOR
-        for s in [math.ceil(math.log2(norm) - math.log2(theta)) if norm > theta else 0]
-    )
+    p, c, s = _taylor_choice(norm)
     X = A * 0.5**s
     powers = [np.eye(len(A)), X]
     for _ in range(p - 1):
@@ -261,11 +271,52 @@ def expm(A) -> np.ndarray:
     return Q + powers[0]
 
 
+def offdiag_expm(b, C) -> np.ndarray:
+    """expm(G) of G = [[0, diag(b)], [C, 0]] from n x n products, never a 2n x 2n power.
+
+    G^2 = diag(B C, C B) with B = diag(b), so expm(G) = [[f(B C), g(B C) B],
+    [g(C B) C, f(C B)]] for f(z) = sum z^j / (2j)! and g(z) = sum z^j / (2j+1)!
+    (N. J. Higham, Functions of Matrices, SIAM 2008, ch. 12).  Cut at degree k = m // 2
+    in B C and C B, the blocks are the Taylor polynomial of degree 2k + 1 >= m of expm(G),
+    where m = p c - 1 and s come from `_taylor_choice` as in `expm`, for
+    ||G||_1 = max(max |b|, largest column sum of |C|).  expm(G / 2^s) - I is assembled
+    apart from I, squared as Q <- 2Q + Q^2, and I is added last.  A non-finite b or C
+    gives all NaN.
+    """
+    b, C = np.asarray(b), np.asarray(C)
+    dtype = np.result_type(b, C, float)
+    n = len(b)
+    norm = float(np.hstack([np.abs(b), np.abs(C).sum(axis=0)]).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full((2 * n, 2 * n), np.nan, dtype=dtype)
+    p, c, s = _taylor_choice(norm)
+    b, C = b * 0.5**s, C * 0.5**s
+
+    def series(M):
+        """f(M) - I and g(M) to degree m // 2, summed from the lowest power up."""
+        even, odd, power = M / 2, np.eye(n, dtype=dtype) + M / 6, M
+        for j in range(2, (p * c - 1) // 2 + 1):
+            power = power @ M
+            even += power / math.factorial(2 * j)
+            odd += power / math.factorial(2 * j + 1)
+        return even, odd
+
+    Q = np.empty((2 * n, 2 * n), dtype=dtype)
+    Q[:n, :n], odd_bc = series(b[:, None] * C)
+    Q[n:, n:], odd_cb = series(C * b)
+    Q[:n, n:] = odd_bc * b
+    Q[n:, :n] = odd_cb @ C
+    for _ in range(s):
+        Q = 2 * Q + Q @ Q
+    Q.flat[:: 2 * n + 1] += 1
+    return Q
+
+
 def wave_propagator(K, dt) -> np.ndarray:
     """E = expm([[0, I], [-K, 0]] dt), the exact step of the (x, v) system for x'' = -Kx."""
     K = np.asarray(K)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core or the check
-        return expm(np.block([[0 * K, np.eye(len(K))], [-K, 0 * K]]) * dt)
+        return offdiag_expm(np.full(len(K), dt, dtype=float), -K * dt)
 
 
 def recurrence_residual(step, wave, K, dt) -> float:

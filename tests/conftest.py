@@ -224,12 +224,12 @@ def theorem1_bound(n):
     """Rounding scale of doubled.theorem1_residual: 16 eps sqrt(n).
 
     S T and T E are two computed exponentials of similar generators, so rounding alone
-    leaves a relative gap of order eps sqrt(n).  With both built by dynamics.expm it
-    measured at most 0.7 eps sqrt(n) on 160 random graphs with n up to 150 at each dt from
-    1e-4 to 1.5, 0.94 eps sqrt(n) on 50 balanced 4-node graphs at dt = 1.5 and 1.85 eps
-    sqrt(n) on 3000 graphs with n from 2 to 6 there.  The squarings at dt = 1.5 leave the
-    floor flat because expm carries expm - I apart from I; scipy's expm, which squares the
-    whole step, reads up to 45.7 eps sqrt(n) on those 4-node graphs.
+    leaves a relative gap of order eps sqrt(n).  With both built by dynamics.offdiag_expm
+    it measured at most 1.08 eps sqrt(n) on 160 random graphs with n up to 150 at each dt
+    from 1e-4 to 1.5, 1.38 eps sqrt(n) on 50 balanced 4-node graphs at dt = 1.5 and 1.73
+    eps sqrt(n) on 3000 graphs with n from 2 to 6 there.  The squarings at dt = 1.5 leave
+    the floor flat because offdiag_expm carries expm - I apart from I; scipy's expm, which
+    squares the whole step, reads up to 45.7 eps sqrt(n) on balanced 4-node graphs.
     """
     return 16 * np.finfo(float).eps * np.sqrt(n)
 

@@ -921,7 +921,7 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
     report = json.loads(proc.stdout)
     assert report["import"] == []
     # centrality refuses the one-way graph (model violation, exit 4); simulate, doubled
-    # and verify build their steps with dynamics.expm, in JSON and in CSV alike
+    # and verify build their steps with dynamics.offdiag_expm, in JSON and in CSV alike
     assert report["commands"] == [
         [command, 4 if (path, command) == (oneway, ["centrality"]) else 0, []]
         for path in (balanced, oneway)
