@@ -3,15 +3,15 @@
 Each integrator builds a fixed one-step matrix and an initial state; one blocked
 core, `_blocks`, runs them on the grid t = k dt, k <= round(t_end / dt), which
 `grid_rows` alone checks, for the library and the CLI alike.  The wave and
-first-order runs step exactly.  `offdiag_expm` sums the even and odd Taylor series
-of a generator [[0, diag(b)], [C, 0]] in its n x n blocks and builds the wave step
-(`wave_propagator` for d^2x/dt^2 = -Lx) and the structured step of `doubled`;
-`expm`, a numpy Taylor expm of a general matrix, builds expm(-+i Omega dt) for
-+-i dpsi/dt = Omega psi.  RK4 steps only the interaction-picture run of
-`product_form_solve`.  The core yields the run in time order, in blocks of about
-sqrt(rows) rows, and stops before the first row that is non-finite or exceeds
-OVERFLOW_LIMIT in modulus: the wave run comes out shorter, a named first-order
-run raises NumericalFailure.
+first-order runs step exactly.  `offdiag_expm`, the package's one exponential, sums
+the even and odd Taylor series of a generator [[0, diag(b)], [C, 0]] in its n x n
+blocks and builds the wave step (`wave_propagator` for d^2x/dt^2 = -Lx) and the
+structured step of `doubled`; the step expm(-+i Omega dt) of +-i dpsi/dt = Omega psi
+is built from the cos and sin blocks of the wave step for K = Omega^2.  RK4 steps
+only the interaction-picture run of `product_form_solve`.  The core yields the run
+in time order, in blocks of about sqrt(rows) rows, and stops before the first row
+that is non-finite or exceeds OVERFLOW_LIMIT in modulus: the wave run comes out
+shorter, a named first-order run raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NotSymmetrizable, NumericalFailure
+from .errors import (
+    DimensionMismatch, GridMismatch, ModelViolation, NotSymmetrizable, NumericalFailure,
+)
 from .graph import WeightedDigraph
 from .symmetry import SpectralDecomposition, spectral_decomposition, symmetrized_eigenvalues
 
@@ -164,15 +166,26 @@ def integrate_wave(L, x0, v0, t_end=T_END, dt=DT) -> Trajectory:
 def integrate_fundamental(Omega, psi0, sign="+", t_end=T_END, dt=DT) -> Trajectory:
     """Propagate +-i dpsi/dt = Omega psi, i.e. psi(t) = expm(-+i Omega t) psi0.
 
-    The one-step matrix expm(-+i Omega dt) rides along in meta["step"].
+    The step is built from the wave step of d^2psi/dt^2 = -Omega^2 psi: cos is even and
+    sin(Omega dt) = Omega dt g(-Omega^2 dt^2), so with E = wave_propagator(Omega @ Omega, dt),
+    expm(-+i Omega dt) = E[:n, :n] -+ i Omega E[:n, n:] (N. J. Higham, Functions of
+    Matrices, SIAM 2008, ch. 12); it rides along in meta["step"].  Omega must be real,
+    as every root the package builds is: a nonzero imaginary part raises ModelViolation,
+    since cos and sin of a complex Omega dt grow like cosh(Im Omega dt) where the
+    exponential can be tiny, and the combine would cancel them.
     """
-    Omega = np.asarray(Omega, dtype=complex)
+    Omega = np.asarray(Omega)
+    if np.iscomplexobj(Omega) and np.any(Omega.imag):
+        raise ModelViolation("integrate_fundamental takes a real Omega")
+    Omega = np.asarray(np.real(Omega), dtype=float)   # real until the last combine
     psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (Omega.shape[0],):
+    n = Omega.shape[0]
+    if psi.shape != (n,):
         raise DimensionMismatch("state length does not match Omega")
     s = _phase(sign)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad dt fails in the core
-        step = expm(s * Omega * dt)
+        E = wave_propagator(Omega @ Omega, dt)
+        step = E[:n, :n] + s * (Omega @ E[:n, n:])
     times, states = _propagate(step, psi, t_end, dt, run="fundamental-equation")
     return Trajectory(times=times, states=states, meta={"step": step})
 
@@ -219,10 +232,11 @@ def product_form_solve(omega0, OmegaI, psiI0, sign="+", t_end=T_END, dt=DT):
     return Trajectory(times=times, states=states), Trajectory(times=times, states=statesI)
 
 
-# (p, c, theta_m) of each Taylor degree m = p c - 1: Paterson-Stockmeyer evaluates it in
-# p + c - 2 products, and it reaches double precision for ||X||_1 <= theta_m (A. H. Al-Mohy
-# and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1); `offdiag_expm` sums
-# the series to a degree of at least m
+# (p, c, theta_m) of each Taylor degree m = p c - 1, which reaches double precision for
+# ||X||_1 <= theta_m (A. H. Al-Mohy and N. J. Higham, SIAM J. Sci. Comput. 33(2), 2011,
+# Table 3.1); `offdiag_expm` sums the series to a degree of at least m.  The cost model,
+# p + c - 2 products, is Paterson-Stockmeyer's, not that of the even/odd series; it is
+# kept so that no wave or structured step moves a bit
 _TAYLOR = (
     (2, 2, 1.39e-5), (2, 3, 2.40e-3), (3, 3, 5.00e-2),
     (3, 4, 2.14e-1), (4, 4, 6.41e-1), (4, 5, 1.26),
@@ -241,36 +255,6 @@ def _taylor_choice(norm):
     return p, c, s
 
 
-def expm(A) -> np.ndarray:
-    """The matrix exponential of a square A, by a Taylor polynomial with scaling and squaring.
-
-    The degree and the squarings come from `_taylor_choice(||A||_1)`.  Q = expm(A / 2^s) - I
-    is carried apart from I, squared as Q <- 2Q + Q^2, and I is added last, so a step close
-    to I keeps its small part to full precision.  A non-finite ||A||_1 gives all NaN.
-    """
-    A = np.asarray(A)
-    A = A.astype(np.result_type(A, float))
-    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
-        return np.full(A.shape, np.nan, dtype=A.dtype)
-    p, c, s = _taylor_choice(norm)
-    X = A * 0.5**s
-    powers = [np.eye(len(A)), X]
-    for _ in range(p - 1):
-        powers.append(powers[-1] @ X)
-
-    def chunk(j):
-        """The sum of X^i / (j p + i)! over i < p, without the I of j = 0."""
-        return sum(powers[i] / math.factorial(j * p + i) for i in range(j == 0, p))
-
-    Q = chunk(c - 1)
-    for j in reversed(range(c - 1)):
-        Q = Q @ powers[p] + chunk(j)
-    for _ in range(s):
-        Q = 2 * Q + Q @ Q
-    return Q + powers[0]
-
-
 def offdiag_expm(b, C) -> np.ndarray:
     """expm(G) of G = [[0, diag(b)], [C, 0]] from n x n products, never a 2n x 2n power.
 
@@ -278,7 +262,7 @@ def offdiag_expm(b, C) -> np.ndarray:
     [g(C B) C, f(C B)]] for f(z) = sum z^j / (2j)! and g(z) = sum z^j / (2j+1)!
     (N. J. Higham, Functions of Matrices, SIAM 2008, ch. 12).  Cut at degree k = m // 2
     in B C and C B, the blocks are the Taylor polynomial of degree 2k + 1 >= m of expm(G),
-    where m = p c - 1 and s come from `_taylor_choice` as in `expm`, for
+    where m = p c - 1 and s come from `_taylor_choice`, for
     ||G||_1 = max(max |b|, largest column sum of |C|).  expm(G / 2^s) - I is assembled
     apart from I, squared as Q <- 2Q + Q^2, and I is added last.  A non-finite b or C
     gives all NaN.

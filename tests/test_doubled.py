@@ -398,15 +398,19 @@ def test_steps_obey_theorem1_up_to_rounding(seed, n, balanced, dt):
 
 def test_theorem1_holds_past_rk4s_stability_limit():
     # path5 at dt = 1.5: dt sqrt(lambda_max) = 2.85 > 2 sqrt2, where an RK4 reference run
-    # grows to 460 from |x0| = 1; the identity and the exact wave run hold all the same
-    g, dt, steps = path5(), 1.5, 133
+    # grows to 460 from |x0| = 1; the identity and the exact wave run hold all the same.
+    # The run's own inputs set its floor: the exact (40-digit) exponential of the rounded
+    # structured generator, run these 133 steps, already sits 1.007e-12 from the exact
+    # wave run, and other summation orders of the same runs read 0.90e-12 to 1.61e-12.
+    # The bound is 8 times that floor, 5 times its worst reading; L (1 + 1e-8) reads 5.7e-7
+    g, dt, steps, floor = path5(), 1.5, 133, 1.007e-12
     op = hat_H_structured(sparse_factors(g))
     S, E = structured_step(op, dt), wave_propagator(build_matrices(g)[2], dt)
     assert theorem1_residual(op, S, E) <= theorem1_bound(g.n)
     x0, v0 = np.eye(5)[0], np.zeros(5)
     got = final_branch_sum(op, S, x0, v0, t_end=steps * dt, dt=dt)
     want = (np.linalg.matrix_power(E, steps) @ np.concatenate([x0, v0]))[:5]
-    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got - want).max() <= 8 * floor
 
 
 @settings(max_examples=20)
