@@ -14,6 +14,7 @@ Theorem 1 is one identity of the step matrices, checked with no run and no RK4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +23,8 @@ from .dynamics import DT, T_END, Trajectory, _propagate
 from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from .graph import WeightedDigraph, build_matrices
 
-E2 = np.eye(2)
 SIGN2 = np.diag([1.0, -1.0])
 NILPOTENT = 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
-SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def interleave(x_plus: np.ndarray, x_minus: np.ndarray) -> np.ndarray:
@@ -57,6 +56,11 @@ class StructuredOperator:
     matrix: np.ndarray
     factors: SparseFactors
 
+    @cached_property
+    def square(self) -> np.ndarray:
+        """matrix @ matrix, taken once for the eq19 and eq26 checks."""
+        return self.matrix @ self.matrix
+
 
 def hat_H_spectral(H: np.ndarray) -> np.ndarray:
     """H (x) diag(1, -1); squares to L (x) E but is dense like H."""
@@ -73,8 +77,11 @@ def sparse_factors(g: WeightedDigraph) -> SparseFactors:
 
 
 def hat_H_structured(f: SparseFactors) -> StructuredOperator:
-    """Hd (x) diag(1,-1) - Ha (x) X with X the nilpotent half-block."""
-    matrix = np.kron(np.diag(f.d_sqrt), SIGN2) - np.kron(f.Ha, NILPOTENT)
+    """Hd (x) SIGN2 - Ha (x) NILPOTENT, written into its four strided n x n views."""
+    n, half, Hd = len(f.d_sqrt), f.Ha / 2, np.diag(f.d_sqrt)
+    matrix = np.empty((2 * n, 2 * n), dtype=np.result_type(half, Hd))
+    matrix[0::2, 0::2], matrix[0::2, 1::2] = Hd - half, -half
+    matrix[1::2, 0::2], matrix[1::2, 1::2] = half, half - Hd
     return StructuredOperator(matrix=matrix, factors=f)
 
 
@@ -94,17 +101,20 @@ def sparsity_match(op: StructuredOperator, g: WeightedDigraph) -> bool:
 
 
 def hat_H_squared_expansion(f: SparseFactors):
-    """Three-term expansion of the structured operator squared.
+    """Eq19's n x n terms (d, sym, mix) = (degrees, (Hd Ha + Ha Hd)/2, (Hd Ha - Ha Hd)/2):
+    the square's diagonal blocks [0::2, 0::2] and [1::2, 1::2] are diag(d) - sym, its
+    off-diagonal ones -mix.  mix vanishes exactly when Hd commutes with Ha (regular graphs)."""
+    HdHa, HaHd = f.d_sqrt[:, None] * f.Ha, f.Ha * f.d_sqrt
+    return f.d_sqrt**2, (HdHa + HaHd) / 2, (HdHa - HaHd) / 2
 
-    Returns (termD, termSym, termMix); termD - termSym - termMix equals the
-    square.  termMix vanishes exactly when Hd commutes with Ha (regular graphs).
-    """
-    HdHa = f.d_sqrt[:, None] * f.Ha
-    HaHd = f.Ha * f.d_sqrt
-    termD = np.kron(np.diag(f.d_sqrt**2), E2)
-    termSym = np.kron(HdHa + HaHd, 0.5 * E2)
-    termMix = np.kron(HdHa - HaHd, 0.5 * SWAP2)
-    return termD, termSym, termMix
+
+def squared_expansion_residual(op: StructuredOperator) -> float:
+    """Eq19: ||op.square - expansion||_F, one strided n x n block at a time."""
+    d, sym, mix = hat_H_squared_expansion(op.factors)
+    diagonal = np.diag(d) - sym
+    gaps = [np.linalg.norm(op.square[r::2, c::2] - want)
+            for r, c, want in ((0, 0, diagonal), (1, 1, diagonal), (0, 1, -mix), (1, 0, -mix))]
+    return float(np.linalg.norm(gaps))
 
 
 def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
@@ -153,8 +163,10 @@ def theorem1_residual(op: StructuredOperator, step, wave) -> float:
     S T = T E and sqrt2 s is the wave run on every grid: an exact build reads rounding.  It is
     the plain norm if the denominator is 0; a non-finite value raises NumericalFailure."""
     t = np.concatenate([np.ones_like(op.factors.d_sqrt), 1.0 / op.factors.d_sqrt]) / np.sqrt(2.0)
-    TE = t[:, None] * wave
-    residual = np.linalg.norm(step * t - TE) / (np.linalg.norm(TE - np.diag(t)) or 1.0)
+    TE, R = t[:, None] * wave, step * t
+    R -= TE
+    TE.flat[:: len(t) + 1] -= t                      # T (E - I)
+    residual = np.linalg.norm(R) / (np.linalg.norm(TE) or 1.0)
     if not np.isfinite(residual):
         raise NumericalFailure(f"the Theorem 1 residual of the step matrices is {residual}")
     return float(residual)
@@ -183,12 +195,11 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
 
 
 def projection_identity_check(op: StructuredOperator, x_hat) -> float:
-    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x for the structured
-    operator; for a (k, 2n) array of doubled states, the largest over its rows."""
+    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x, H_hat^2 the shared op.square,
+    for one doubled state or the largest over the rows of a (k, 2n) array of them."""
     x_hat = np.atleast_2d(x_hat)
     x_hat = x_hat.astype(np.result_type(x_hat, float))
-    H_hat_T = op.matrix.T
-    lhs = branch_sum(x_hat @ H_hat_T @ H_hat_T)
+    lhs = x_hat @ branch_sum(op.square.T)
     rhs = branch_sum(x_hat) @ laplacian_from_factors(op.factors).T
     num = np.linalg.norm(lhs - rhs, axis=1)
     return float((num / np.maximum(1.0, np.linalg.norm(rhs, axis=1))).max())

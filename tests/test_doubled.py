@@ -9,6 +9,7 @@ from netosc.doubled import (
     NILPOTENT,
     SIGN2,
     SparseFactors,
+    StructuredOperator,
     branch_sum,
     final_branch_sum,
     hat_H_spectral,
@@ -22,6 +23,7 @@ from netosc.doubled import (
     projection_identity_check,
     sparse_factors,
     sparsity_match,
+    squared_expansion_residual,
     structured_step,
     sum_difference_run,
     theorem1_residual,
@@ -146,6 +148,14 @@ def test_structured_pattern_matches_adjacency(rng):
         assert sparsity_match(hat_H_structured(sparse_factors(g)), g)
 
 
+def test_strided_operator_equals_its_kronecker_formula(rng):
+    # the four strided views hold what Hd (x) SIGN2 - Ha (x) NILPOTENT holds, entry by entry
+    for _ in range(20):
+        f = sparse_factors(random_positive_outdegree_digraph(rng, int(rng.integers(3, 30))))
+        want = np.kron(np.diag(f.d_sqrt), SIGN2) - np.kron(f.Ha, NILPOTENT)
+        assert np.array_equal(hat_H_structured(f).matrix, want)
+
+
 def test_structured_square_differs_from_doubled_laplacian_on_star():
     g = star4()
     op = hat_H_structured(sparse_factors(g))
@@ -163,27 +173,58 @@ def test_structured_square_equals_doubled_laplacian_on_regular():
 
 
 def test_squared_expansion_sums_to_square(rng):
+    # diag(d) - sym on the diagonal blocks, -mix on the off-diagonal ones
     g = random_positive_outdegree_digraph(rng, 6)
     f = sparse_factors(g)
     op = hat_H_structured(f)
-    termD, termSym, termMix = hat_H_squared_expansion(f)
-    assert np.allclose(termD - termSym - termMix, op.matrix @ op.matrix, atol=1e-10)
+    d, sym, mix = hat_H_squared_expansion(f)
+    assert d.shape == (6,) and sym.shape == mix.shape == (6, 6)
+    square = op.matrix @ op.matrix
+    for rows, cols, want in [(0, 0, np.diag(d) - sym), (1, 1, np.diag(d) - sym),
+                             (0, 1, -mix), (1, 0, -mix)]:
+        assert np.allclose(square[rows::2, cols::2], want, atol=1e-10)
+    assert np.array_equal(op.square, square)
+    assert squared_expansion_residual(op) <= 1e-12
 
 
 def test_squared_expansion_mix_nonzero_on_star():
-    _, _, termMix = hat_H_squared_expansion(sparse_factors(star4()))
-    assert np.abs(termMix).max() > 1e-3
+    _, _, mix = hat_H_squared_expansion(sparse_factors(star4()))
+    assert np.abs(mix).max() > 1e-3
 
 
 def test_squared_expansion_diagonal_only():
-    # synthetic diagonal-only factors: the square collapses to one term
-    from netosc.doubled import SparseFactors
-
+    # synthetic diagonal-only factors: the square collapses to diag(d) (x) I
     f = SparseFactors(d_sqrt=np.array([2.0, 3.0]), Ha=np.zeros((2, 2)))
-    termD, termSym, termMix = hat_H_squared_expansion(f)
+    d, sym, mix = hat_H_squared_expansion(f)
     op = hat_H_structured(f)
-    assert not np.any(termSym) and not np.any(termMix)
-    assert np.allclose(op.matrix @ op.matrix, termD, atol=1e-12)
+    assert not np.any(sym) and not np.any(mix)
+    assert np.array_equal(d, [4.0, 9.0])
+    assert np.allclose(op.matrix @ op.matrix, np.kron(np.diag(d), np.eye(2)), atol=1e-12)
+    assert squared_expansion_residual(op) == 0.0
+
+
+def _flip_block(matrix):
+    matrix = matrix.copy()
+    matrix[1::2, 0::2] *= -1
+    return matrix
+
+
+def _swap_off_diagonal_blocks(matrix):
+    matrix = matrix.copy()
+    matrix[0::2, 1::2], matrix[1::2, 0::2] = matrix[1::2, 0::2].copy(), matrix[0::2, 1::2].copy()
+    return matrix
+
+
+@pytest.mark.parametrize("mutate", [_flip_block, _swap_off_diagonal_blocks])
+def test_eq19_fails_a_miswired_operator(mutate):
+    # eq19 squares the assembled matrix, so a wrong sign or a swapped pair of blocks
+    # shows; the swap leaves the diagonal blocks right and moves only the mix term,
+    # which vanishes on a regular graph, so star4 (hub c, leaves l1-l3) is the case.
+    # Each mutant is a new operator, since the square is cached on first read
+    f = sparse_factors(star4())
+    op = hat_H_structured(f)
+    assert squared_expansion_residual(op) <= 1e-12
+    assert squared_expansion_residual(StructuredOperator(mutate(op.matrix), f)) > 1e-12
 
 
 def test_integrate_doubled_uniform_state(rng):

@@ -26,11 +26,13 @@ from netosc.errors import (
     DimensionMismatch, GridMismatch, ModelViolation, NotSymmetrizable, NumericalFailure,
 )
 from netosc.dynamics import (
+    _TAYLOR,
     MAX_STEPS,
     OVERFLOW_LIMIT,
     Trajectory,
     _blocks,
     _propagate,
+    _taylor_choice,
     grid_rows,
     offdiag_expm,
     recurrence_residual,
@@ -650,6 +652,75 @@ def test_offdiag_expm_of_a_non_finite_b_or_c_is_nan_without_a_warning(bad, where
         got = offdiag_expm(b, C)
     assert got.shape == (6, 6) and got.dtype == b.dtype
     assert np.isnan(got).all()
+
+
+def two_series_offdiag_expm(b, C):
+    """offdiag_expm with f(BC) and f(CB) always summed apart, even when B C = C B:
+    the reference of its one-series path."""
+    b, C = np.asarray(b), np.asarray(C)
+    dtype = np.result_type(b, C, float)
+    n = len(b)
+    norm = float(np.hstack([np.abs(b), np.abs(C).sum(axis=0)]).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full((2 * n, 2 * n), np.nan, dtype=dtype)
+    p, c, s = _taylor_choice(norm)
+    b, C = b * 0.5**s, C * 0.5**s
+
+    def series(M):
+        even, odd, power = M / 2, np.eye(n, dtype=dtype) + M / 6, M
+        for j in range(2, (p * c - 1) // 2 + 1):
+            power = power @ M
+            even += power / math.factorial(2 * j)
+            odd += power / math.factorial(2 * j + 1)
+        return even, odd
+
+    Q = np.empty((2 * n, 2 * n), dtype=dtype)
+    Q[:n, :n], odd_bc = series(b[:, None] * C)
+    Q[n:, n:], odd_cb = series(C * b)
+    Q[:n, n:] = odd_bc * b
+    Q[n:, :n] = odd_cb @ C
+    for _ in range(s):
+        Q = 2 * Q + Q @ Q
+    Q.flat[:: 2 * n + 1] += 1
+    return Q
+
+
+def test_the_wave_step_takes_one_series_and_reads_the_two_series_step_bit_for_bit():
+    # b = dt 1 makes B C and C B the same array, so the one series offdiag_expm sums for
+    # both blocks is the one the second series would give; dt = 20 takes squarings
+    rng = np.random.default_rng(5)
+    for n in range(1, 31):
+        K = rng.standard_normal((n, n)) + n * np.eye(n)
+        for dt in (1e-4, 1e-2, 0.5, 1.5, 20.0):
+            want = two_series_offdiag_expm(np.full(n, dt), -K * dt)
+            assert np.array_equal(wave_propagator(K, dt), want), (n, dt)
+    K[0, 1] = np.nan
+    assert np.isnan(wave_propagator(K, 1e-3)).all()
+    # a b that is not constant makes B C and C B differ: the second series is still taken
+    b, C = rng.uniform(0.5, 2.0, 6), rng.standard_normal((6, 6))
+    want = two_series_offdiag_expm(b, C)
+    assert np.array_equal(offdiag_expm(b, C), want)
+    assert not np.allclose(want[:6, :6], want[6:, 6:])
+
+
+def test_taylor_choice_minimises_the_products_offdiag_expm_runs():
+    # the step takes k - 1 products per series (k = m // 2; one series when B C = C B,
+    # else two), one for the lower-left block and 8 n x n ones per 2n x 2n squaring; at
+    # every norm the chosen (m, s) must be feasible and cost no more than any other degree
+    # with its fewest squarings, on both paths
+    norms = np.geomspace(1e-7, 1e4, 20001)
+    theta = np.array([t for *_, t in _TAYLOR])[:, None]
+    k = np.array([(p * c - 1) // 2 for p, c, _ in _TAYLOR])[:, None]
+    fewest = np.maximum(np.ceil(np.log2(norms / theta)), 0)   # per degree, per norm
+    assert (norms * 0.5**fewest <= theta).all()
+    assert ((fewest == 0) | (norms * 0.5 ** (fewest - 1) > theta)).all()
+    row_of = {(p, c): i for i, (p, c, _) in enumerate(_TAYLOR)}
+    picks = [_taylor_choice(x) for x in norms.tolist()]
+    row, s = np.array([row_of[p, c] for p, c, _ in picks]), np.array([s for *_, s in picks])
+    assert (norms * 0.5**s <= theta[row, 0]).all()
+    for series in (1, 2):
+        cost = series * (k - 1) + 1 + 8 * fewest
+        assert np.array_equal(series * (k[row, 0] - 1) + 1 + 8 * s, cost.min(axis=0)), series
 
 
 def test_the_wave_step_holds_n_by_n_powers_not_2n_by_2n_ones():
