@@ -6,10 +6,12 @@ last.  That form carries both precondition checks: no eigenvalue on the open
 negative real axis, and a semisimple zero eigenvalue, which holds exactly when
 the trailing Schur block vanishes.  The root of the nonsingular
 quasi-triangular block is built recursively by halves, never splitting a 2x2
-block, and each join is one Sylvester solve.  The result's spectrum lies in
-the closed right half-plane.  Input must be real.  Bundles collect the
-mode-space operators (Lambda, Omega family) and their node-space counterparts
-(H family) for one Laplacian split, all real.
+block, and each join is one Sylvester solve.  Both LAPACK routines, dgees for
+the Schur form and dtrsyl for the joins, come from `_blas.schur` and
+`_blas.trsyl`: numpy's own OpenBLAS where it exports them, scipy otherwise.
+The result's spectrum lies in the closed right half-plane.  Input must be
+real.  Bundles collect the mode-space operators (Lambda, Omega family) and
+their node-space counterparts (H family) for one Laplacian split, all real.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     axis and semisimple zero eigenvalues; raises SqrtUndefined otherwise.  The
     root of the nonsingular block is built by halves joined by Sylvester
     solves.  Real input only: a nonzero imaginary part raises ModelViolation,
-    and a non-square shape DimensionMismatch.  Tolerances are relative to
-    ||A||_F; the zero matrix is its own root.
+    a non-square shape DimensionMismatch, and a NaN or inf entry
+    NumericalFailure.  Tolerances are relative to ||A||_F, taken at unit scale
+    so that it neither overflows nor underflows; the zero matrix is its own root.
     """
     mat = np.asarray(mat)
     if np.iscomplexobj(mat) and np.any(mat.imag):
@@ -44,19 +47,17 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"principal_sqrt takes a square matrix, got {mat.shape}")
     n = mat.shape[0]
-    scale = np.linalg.norm(mat, "fro")
-    if scale == 0:
+    peak = np.abs(mat).max(initial=0.0)
+    if not np.isfinite(peak):
+        raise NumericalFailure("principal_sqrt takes a finite matrix")
+    if peak == 0:
         return mat.copy()
+    # the plain norm squares entries, which overflows above 1e154 and underflows below 1e-154
+    scale = peak * np.linalg.norm(mat / peak, "fro")
     zero_tol = ZERO_EIG_REL_TOL * scale
-    linalg = _blas.linalg()
-    try:
-        # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
-        # (k x k) nonsingular and T22 carrying the zero cluster
-        T, Z, k = linalg.schur(
-            mat, output="real", sort=lambda re, im: abs(complex(re, im)) > zero_tol
-        )
-    except (linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
+    # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
+    # (k x k) nonsingular and T22 carrying the zero cluster
+    T, Z, k = _blas.schur(mat, zero_tol)
 
     eigs = _quasi_triangular_eigenvalues(T[:k, :k])
     negative = np.flatnonzero((eigs.real < 0) & (np.abs(eigs.imag) <= zero_tol))
@@ -74,7 +75,7 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
         _quasi_triangular_sqrt(T, U, 0, k)
         # U22 = 0, so the coupling U12 solves U11 U12 + U12 * 0 = T12
         if k < n:
-            U[:k, k:] = _sylvester(U[:k, :k], np.zeros((n - k, n - k)), T[:k, k:])
+            U[:k, k:] = _blas.trsyl(U[:k, :k], np.zeros((n - k, n - k)), T[:k, k:])
     return Z @ U @ Z.T
 
 
@@ -114,15 +115,7 @@ def _quasi_triangular_sqrt(T: np.ndarray, U: np.ndarray, lo: int, hi: int) -> No
         mid += 1
     _quasi_triangular_sqrt(T, U, lo, mid)
     _quasi_triangular_sqrt(T, U, mid, hi)
-    U[lo:mid, mid:hi] = _sylvester(U[lo:mid, lo:mid], U[mid:hi, mid:hi], T[lo:mid, mid:hi])
-
-
-def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve A X + X B = C for upper quasi-triangular A and B."""
-    X, scale, info = _blas.linalg().lapack.dtrsyl(A, B, C)
-    if info != 0:
-        raise NumericalFailure(f"Sylvester solve failed (dtrsyl info {info})")
-    return X / scale
+    U[lo:mid, mid:hi] = _blas.trsyl(U[lo:mid, lo:mid], U[mid:hi, mid:hi], T[lo:mid, mid:hi])
 
 
 @dataclass(frozen=True)

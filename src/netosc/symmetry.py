@@ -163,7 +163,9 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
 
 
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
-    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P."""
+    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P; exact zeros when L_I is zero."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
+    if not np.any(LI):
+        return np.zeros(LI.shape)
     return sd.P.T @ _similarity(LI, sd.m) @ sd.P

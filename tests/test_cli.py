@@ -842,14 +842,16 @@ SCIPY_FREE = [
     ["simulate"], ["simulate", "--format", "csv"], ["doubled"], ["doubled", "--format", "csv"],
     ["verify"],
 ]
-# each takes a Schur root; sqrt comes first, so it is the one whose call imports scipy
-SCIPY_LOADING = [["sqrt"], ["fundamental"], ["product-form"]]
+# each takes a Schur root of the one-way graph: with numpy's own LAPACK none of them
+# loads scipy; without it sqrt comes first, so it is the one whose call imports scipy
+SCHUR_ROOTS = [["sqrt"], ["fundamental"], ["product-form"]]
 
-# Runs in a fresh interpreter: this test process imported scipy long ago.
+# Runs in a fresh interpreter: this test process imported scipy long ago.  With
+# "fallback" the LAPACKE lookup is forced empty, as on MKL or Accelerate.
 DEFERRED_SCIPY_SCRIPT = """
 import contextlib, ctypes, io, json, sys
 import netosc, netosc.cli
-from netosc import _blas, sqrt_ops
+from netosc import _blas
 from netosc.cli import run
 
 def scipy_modules():
@@ -875,15 +877,17 @@ def counts():
         found[lib] = get()
     return found
 
-oneway, balanced = sys.argv[1], sys.argv[2]
-free, loading = json.loads(sys.argv[3]), json.loads(sys.argv[4])
-report = {"import": scipy_modules(), "commands": [], "loading": []}
+oneway, balanced, mode = sys.argv[1], sys.argv[2], sys.argv[3]
+free, roots = json.loads(sys.argv[4]), json.loads(sys.argv[5])
+if mode == "fallback":
+    _blas._lapacke = lambda: None
+report = {"import": scipy_modules(), "commands": [], "roots": []}
 inside, deferred = [], []
-sylvester = sqrt_ops._sylvester
+trsyl = _blas.trsyl
 def spy(*args):
     inside.append(counts())
-    return sylvester(*args)
-sqrt_ops._sylvester = spy
+    return trsyl(*args)
+_blas.trsyl = spy
 linalg = _blas.linalg
 def linalg_spy():
     deferred.append(True)
@@ -895,16 +899,17 @@ with contextlib.redirect_stdout(io.StringIO()):
             code = run([*argv, "--input", path, "--t-end", "0.01"])
             report["commands"].append([argv, code, scipy_modules()])
     report["before"] = counts()
-    for argv in loading:
+    for argv in roots:
         deferred.clear()
         code = run([*argv, "--input", oneway, "--t-end", "0.01"])
-        report["loading"].append([argv, code, bool(deferred), "scipy.linalg" in sys.modules])
-report.update(inside=inside, after=counts())
+        report["roots"].append([argv, code, bool(deferred), "scipy.linalg" in sys.modules])
+report.update(inside=inside, after=counts(), lapacke=_blas._lapacke() is not None)
 print(json.dumps(report))
 """
 
 
-def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
+def deferred_scipy_report(graph_file, mode):
+    """Run the 12 commands in a fresh interpreter with two threads per pool."""
     rng = np.random.default_rng(3)
     oneway = graph_file(random_digraph(rng, 8), "oneway.csv")
     balanced = graph_file(random_detailed_balance_graph(rng, 8), "balanced.csv")
@@ -912,7 +917,7 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(netosc.__file__)), env.get("PYTHONPATH")])
     )
-    argv = [oneway, balanced, json.dumps(SCIPY_FREE), json.dumps(SCIPY_LOADING)]
+    argv = [oneway, balanced, mode, json.dumps(SCIPY_FREE), json.dumps(SCHUR_ROOTS)]
     proc = subprocess.run(
         [sys.executable, "-c", DEFERRED_SCIPY_SCRIPT, *argv],
         env=env, capture_output=True, text=True, timeout=60,
@@ -927,8 +932,28 @@ def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
         for path in (balanced, oneway)
         for command in SCIPY_FREE
     ]
-    # each Schur root calls the deferred import, and the first call loads scipy
-    assert report["loading"] == [[command, 0, True, True] for command in SCIPY_LOADING]
+    return report
+
+
+def test_no_command_loads_scipy_with_numpys_lapack(graph_file):
+    report = deferred_scipy_report(graph_file, "native")
+    if not report["lapacke"]:
+        pytest.skip("no mapped OpenBLAS exports LAPACKE dgees and dtrsyl")
+    # every Schur root runs on numpy's OpenBLAS: no deferred import, no scipy module
+    assert report["roots"] == [[command, 0, False, False] for command in SCHUR_ROOTS]
+    # the Sylvester joins of this one-way graph run on one thread in every pool,
+    # and no pool was mapped on the way
+    assert report["inside"]
+    for seen in report["inside"]:
+        assert seen == {lib: 1 for lib in report["after"]}
+    assert report["before"] == report["after"] == {lib: 2 for lib in report["after"]}
+
+
+def test_scipy_loads_only_inside_a_command_that_calls_it(graph_file):
+    report = deferred_scipy_report(graph_file, "fallback")
+    # without numpy's LAPACK each Schur root calls the deferred import, and the
+    # first call loads scipy
+    assert report["roots"] == [[command, 0, True, True] for command in SCHUR_ROOTS]
     if not report["after"]:
         pytest.skip("no OpenBLAS loaded")
     # the Schur root of this one-way graph joins blocks by Sylvester solves,

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from netosc import build_matrices, principal_sqrt
+from netosc import _blas, build_matrices, principal_sqrt
 from netosc import from_edges, sqrt_residual
-from netosc.errors import DimensionMismatch, NetoscError, SqrtUndefined
+from netosc.errors import DimensionMismatch, NetoscError, NumericalFailure, SqrtUndefined
 from netosc.sqrt_ops import _quasi_triangular_sqrt, node_sqrt_residual
 
 from conftest import bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2
@@ -250,3 +253,84 @@ def test_sqrt_tolerances_are_relative_below_norm_one():
     assert np.allclose(small.Omega, 1e-6 * base.Omega, rtol=1e-9, atol=0)
     assert sqrt_residual(small) <= 1e-12
     assert node_sqrt_residual(small) <= 1e-12
+
+
+@contextlib.contextmanager
+def scipy_lapack():
+    """_blas with its LAPACKE lookup forced empty, as on MKL or Accelerate: scipy's path."""
+    lookup = _blas._lapacke
+    _blas._lapacke = lambda: None
+    try:
+        yield
+    finally:
+        _blas._lapacke = lookup
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def lapack_path(request):
+    """Run a test on numpy's own LAPACK, then on scipy's."""
+    if request.param == "scipy":
+        with scipy_lapack():
+            yield request.param
+        return
+    if _blas._lapacke() is None:
+        pytest.skip("no mapped OpenBLAS exports LAPACKE dgees and dtrsyl")
+    yield request.param
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_both_lapack_paths_take_the_same_root(seed, n):
+    _, _, L = build_matrices(random_digraph(np.random.default_rng(seed), n))
+    root = principal_sqrt(L)
+    with scipy_lapack():
+        ref = principal_sqrt(L)
+    assert np.linalg.norm(root - ref) <= 4 * np.finfo(float).eps * np.linalg.norm(L)
+
+
+def test_principal_sqrt_of_huge_and_tiny_entries(lapack_path):
+    # ||A||_F of these overflows or underflows when taken directly; the zero
+    # cluster would then swallow every eigenvalue and the root read 0
+    for scale in (1e200, 1e-200):
+        root = principal_sqrt(np.diag([1.0, 4.0]) * scale)
+        assert np.allclose(root, np.diag([1.0, 2.0]) * np.sqrt(scale), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_principal_sqrt_rejects_non_finite_input(lapack_path, bad):
+    mat = build_matrices(ring3())[2]
+    mat[1, 2] = bad
+    with pytest.raises(NumericalFailure, match="finite"):
+        principal_sqrt(mat)
+
+
+def test_sylvester_solve_failure(lapack_path):
+    # A X + X B = C with A = 1 and B = -1 is singular: dtrsyl perturbs and reports info 1
+    with pytest.raises(NumericalFailure, match=r"^Sylvester solve failed \(dtrsyl info 1\)$"):
+        _blas.trsyl(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
+
+
+def test_schur_select_cannot_raise(lapack_path, monkeypatch):
+    # the pair 1.5e308 +- 1.5e308 i has a modulus past the float range; an exception
+    # in a ctypes callback cannot reach the caller, it goes to sys.unraisablehook,
+    # which prints a traceback on stderr
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    big = 1.5e308
+    T, Z, k = _blas.schur(np.array([[big, big], [-big, big]]), 1.0)
+    assert k == 2
+    assert unraisable == []
+
+
+@pytest.mark.parametrize(
+    "info, reason",
+    [(1, "Schur form not found"), (3, "could not be separated"),
+     (4, "do not satisfy sort condition"), (-6, "illegal argument 6")],
+)
+def test_schur_failure_raises_numerical_failure(monkeypatch, info, reason):
+    lapack = _blas._lapacke()
+    if lapack is None:
+        pytest.skip("no mapped OpenBLAS exports LAPACKE dgees and dtrsyl")
+    # n = 2: info 3 = n + 1 and 4 = n + 2 are dgees's reordering failures
+    monkeypatch.setattr(_blas, "_lapacke", lambda: (lambda *args: info, *lapack[1:]))
+    with pytest.raises(NumericalFailure, match=f"^Schur decomposition failed: .*{reason}"):
+        principal_sqrt(np.array([[1.0, 2.0], [0.0, 3.0]]))

@@ -165,7 +165,11 @@ def test_mode_dimension_mismatch(rng):
 def test_interaction_matrix_zero_for_symmetrizable(rng):
     g = random_detailed_balance_graph(rng, 6)
     split, sd = spectral_decomposition(g)
-    assert not np.any(mode_interaction_matrix(split.LI, sd))
+    lam_I = mode_interaction_matrix(split.LI, sd)
+    # exact +0.0, as the two products would give, without running them
+    assert lam_I.dtype == np.float64 and lam_I.shape == (6, 6)
+    assert np.array_equal(lam_I, sd.P.T @ split.LI @ sd.P)
+    assert not np.any(lam_I) and not np.any(np.signbit(lam_I))
 
 
 def test_interaction_matrix_identity_basis_for_pure_one_way():
