@@ -173,9 +173,13 @@ def _join_scope():
 def single_threaded():
     """Set every OpenBLAS pool to one thread; restore the saved counts on exit.
 
-    A pool loaded while the scope is open joins it through `linalg()`.
+    A pool loaded while the scope is open joins it through `linalg()`.  A scope
+    opened inside an open one does nothing: the outermost saves and restores.
     """
     global _scope
+    if _scope is not None:
+        yield
+        return
     _scope = {}
     try:
         _join_scope()

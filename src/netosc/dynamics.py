@@ -24,8 +24,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch, GridMismatch, ModelViolation, NotSymmetrizable, NumericalFailure,
 )
-from .graph import WeightedDigraph
-from .symmetry import SpectralDecomposition, spectral_decomposition, symmetrized_eigenvalues
+from .graph import WeightedDigraph, out_degrees
+from .symmetry import SpectralDecomposition, check_symmetrizable, symmetrized_eigenvalues
+from .symmetry import spectral_decomposition  # noqa: F401  (perfbench wraps this binding)
 
 T_END, DT = 10.0, 1e-3             # the default grid
 MAX_STEPS = 10**7                  # the most steps t_end / dt may ask for
@@ -357,9 +358,21 @@ def node_energy(sd: SpectralDecomposition, a, split=None) -> EnergyReport:
 
 
 def degree_centrality_energy(g: WeightedDigraph) -> EnergyReport:
-    """Energy under unit amplitude in every mode: diag(S0)/2, the degree/2 law."""
-    split, sd = spectral_decomposition(g)
-    return node_energy(sd, np.ones(g.n), split=split)
+    """Energy under unit amplitude in every mode: diag(S0)/2, the degree/2 law.
+
+    node_energy(sd, ones) is (1/2) sum_mu lambda_mu P_{i mu}^2 = (S0)_ii / 2, and the
+    diagonal similarity S0 = M^{1/2} L M^{-1/2} keeps L's diagonal, the out-degree d.
+    So on every symmetrizable graph node i holds d_i / 2 and the total is sum(d) / 2,
+    taken from the edge arrays with no eigensolve and no n x n matrix.  The ||L||_F
+    gate comes first (DegreeOverflow); a graph check_symmetrizable refuses raises
+    NotSymmetrizable, and its NumericalFailure passes through.
+    """
+    d = out_degrees(g)
+    try:
+        check_symmetrizable(g)
+    except NotSymmetrizable:
+        raise NotSymmetrizable("energy centrality requires a symmetrizable graph") from None
+    return EnergyReport(total=float(0.5 * d.sum()), per_node=0.5 * d)
 
 
 def flaming_indicator(L, m=None) -> FlamingIndicator:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,37 +55,65 @@ class WeightedDigraph:
         return A
 
 
-def _build(rows) -> WeightedDigraph:
-    """Validate (line_no, raw, fields) rows and build the graph.
-
-    fields is (src, dst) or (src, dst, weight); labels become strings, and a
-    weight is anything float() accepts.  raw is what a ParseError quotes.
-    """
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw, fields in rows:
-        is_row = isinstance(fields, Sequence) and not isinstance(fields, (str, bytes))
-        if not is_row or len(fields) not in (2, 3):
-            raise ParseError(line_no, raw)
-        src_label, dst_label = str(fields[0]), str(fields[1])
+def _floats(values) -> tuple[np.ndarray, int]:
+    """float() of each value, stopped before the first one float() refuses:
+    (those floats, the index of that value or len(values))."""
+    try:
+        return np.fromiter(map(float, values), float, len(values)), len(values)
+    except (TypeError, ValueError):
+        pass
+    done = []
+    for value in values:  # only a faulty column gets here, to find its first fault
         try:
-            w = float(fields[2]) if len(fields) == 3 else 1.0
+            done.append(float(value))
         except (TypeError, ValueError):
-            raise ParseError(line_no, raw) from None
-        if src_label == dst_label:
-            raise SelfLoop(src_label)
-        if not 0 < w < math.inf:
-            raise NonPositiveWeight(line_no, w)
-        src = index.setdefault(src_label, len(index))
-        dst = index.setdefault(dst_label, len(index))
-        if (src, dst) in seen:
-            raise DuplicateEdge(src_label, dst_label)
-        seen.add((src, dst))
-        edges.append((src, dst, w))
-    if not edges:
+            break
+    return np.array(done), len(done)
+
+
+def _build(src, dst, weights, line_no, raw, truncated) -> WeightedDigraph:
+    """Validate edge rows given as columns and build the graph; the one validator.
+
+    Row k is (src[k], dst[k], weights[k]): two label strings and anything float()
+    accepts.  line_no[k] numbers row k and raw(k) is what its ParseError quotes;
+    `truncated` says that the rows stop before one without that shape.  The first
+    faulty row raises; within a row the checks run ParseError, SelfLoop,
+    NonPositiveWeight, DuplicateEdge.
+    """
+    w, rows = _floats(weights)
+    src, dst = src[:rows], dst[:rows]
+    ends = [None] * (2 * rows)
+    ends[::2], ends[1::2] = src, dst
+    labels = tuple(dict.fromkeys(ends))  # in order of first appearance
+    index = dict(zip(labels, range(len(labels))))
+    # the dict's own int objects, shared by every edge of a node
+    s_ids, d_ids = list(map(index.__getitem__, src)), list(map(index.__getitem__, dst))
+    s, d = np.array(s_ids, dtype=np.intp), np.array(d_ids, dtype=np.intp)
+    # a stable sort of the (s, d) keys puts every repeat right after an earlier row
+    keys = s * len(labels) + d
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    firsts = (
+        [rows] if rows < len(weights) or truncated else [],  # ParseError
+        np.flatnonzero(s == d)[:1],  # SelfLoop
+        np.flatnonzero(~((w > 0) & (w < math.inf)))[:1],  # NonPositiveWeight
+        np.sort(repeats)[:1],  # DuplicateEdge
+    )
+    faults = [(int(k), check) for check, first in enumerate(firsts) for k in first]
+    if faults:
+        k, check = min(faults)
+        if check == 0:
+            raise ParseError(int(line_no[k]), raw(k))
+        if check == 1:
+            raise SelfLoop(src[k])
+        if check == 2:
+            raise NonPositiveWeight(int(line_no[k]), float(w[k]))
+        raise DuplicateEdge(src[k], dst[k])
+    if not rows:
         raise EmptyGraph()
-    return WeightedDigraph(n=len(index), edges=tuple(edges), labels=tuple(index))
+    g = WeightedDigraph(n=len(labels), edges=tuple(zip(s_ids, d_ids, w.tolist())), labels=labels)
+    g.__dict__["edge_arrays"] = s, d, w  # the cached property's value, already built
+    return g
 
 
 def from_edges(labeled_edges) -> WeightedDigraph:
@@ -92,20 +121,64 @@ def from_edges(labeled_edges) -> WeightedDigraph:
 
     Tuples follow the edge-list rules; the k-th tuple counts as line k.
     """
-    return _build((k, e, e) for k, e in enumerate(labeled_edges, start=1))
+    rows = list(labeled_edges)
+    cut = next(
+        (k for k, e in enumerate(rows)
+         if isinstance(e, (str, bytes)) or not isinstance(e, Sequence) or len(e) not in (2, 3)),
+        len(rows),
+    )
+    shaped = rows[:cut]
+    return _build(
+        [str(e[0]) for e in shaped],
+        [str(e[1]) for e in shaped],
+        [e[2] if len(e) == 3 else 1.0 for e in shaped],
+        range(1, len(rows) + 1),
+        rows.__getitem__,
+        cut < len(rows),
+    )
+
+
+# from a '#' to the end of its line: the class excludes every str.splitlines boundary;
+# re compiles it on first use, so importing the module does not pay for it
+_COMMENT = r"#[^\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
 def parse_edge_list(text: str) -> WeightedDigraph:
-    """Parse edge-list text (see module docstring for the format)."""
+    """Parse edge-list text (see module docstring for the format).
 
-    def rows():
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                parts = [p.strip() for p in line.replace("\t", ",").split(",")]
-                yield line_no, raw, [p for p in parts if p]
+    Whole-text passes cut it into stripped fields: comments go, and one split of the
+    joined lines, tabs made commas, yields every field.  A row is a line that holds
+    a nonempty field or a comma; its nonempty fields are (src, dst[, weight]).
+    """
+    lines = re.sub(_COMMENT, " ", text).splitlines()  # " ": no "\r" meets a "\n"
 
-    return _build(rows())
+    def count(sep):
+        return np.fromiter(map(str.count, lines, itertools.repeat(sep)), np.intp, len(lines))
+
+    def pick(where):
+        return list(map(fields.__getitem__, where.tolist()))
+
+    commas = count(",")
+    seps = commas + count("\t") if "\t" in text else commas
+    fields = list(map(str.strip, ",".join(lines).replace("\t", ",").split(",")))
+    kept = np.flatnonzero(np.fromiter(map(bool, fields), bool, len(fields)))
+    size = np.bincount(np.repeat(np.arange(len(lines)), seps + 1)[kept], minlength=len(lines))
+    row_lines = np.flatnonzero(size | commas)
+    size = size[row_lines]
+    misshapen = np.flatnonzero((size < 2) | (size > 3))
+    rows = misshapen[0] if len(misshapen) else len(row_lines)
+    size = size[:rows]
+    first = np.cumsum(size) - size  # each row's first field, as a position in kept
+    fields.append(1.0)  # the weight of a two-field row
+    third = np.where(size == 3, kept[(first + 2).clip(max=len(kept) - 1)], -1)
+    return _build(
+        pick(kept[first]),
+        pick(kept[first + 1]),
+        pick(third),
+        row_lines + 1,
+        lambda k: text.splitlines()[row_lines[k]],
+        len(misshapen) > 0,
+    )
 
 
 def load_edge_list(path) -> WeightedDigraph:
@@ -117,21 +190,36 @@ def load_edge_list(path) -> WeightedDigraph:
     return parse_edge_list(text)
 
 
+def _norm_gate(g: WeightedDigraph, d: np.ndarray, row_sq: np.ndarray) -> None:
+    """DegreeOverflow unless ||L||_F^2 = sum_i (d_i^2 + sum_j A_ij^2) is finite, naming
+    the node whose row first takes the running sum past it; row_sq[i] = sum_j A_ij^2."""
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(np.isinf(np.cumsum(d * d + row_sq)))
+    if len(overflow):
+        raise DegreeOverflow(g.labels[overflow[0]])
+
+
 def build_matrices(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (A, D, L) with L = D - A and D the out-degree diagonal.
 
-    ||L||_F must be finite, which also bounds every degree; DegreeOverflow
-    names the node whose row first takes the running sum of squares past it.
+    ||L||_F must be finite, which also bounds every degree; see _norm_gate.
     """
     A = g.adjacency()
     with np.errstate(over="ignore"):
         d = A.sum(axis=1)
-        norm_sq = np.cumsum(d * d + np.einsum("ij,ij->i", A, A))
-    overflow = np.flatnonzero(np.isinf(norm_sq))
-    if len(overflow):
-        raise DegreeOverflow(g.labels[overflow[0]])
+    _norm_gate(g, d, np.einsum("ij,ij->i", A, A))
     D = np.diag(d)
     return A, D, D - A
+
+
+def out_degrees(g: WeightedDigraph) -> np.ndarray:
+    """The weighted out-degrees d from the edge arrays, O(edges), behind the same
+    ||L||_F gate as build_matrices."""
+    src, _, w = g.edge_arrays
+    with np.errstate(over="ignore"):
+        d, row_sq = np.bincount(src, w, g.n), np.bincount(src, w * w, g.n)
+    _norm_gate(g, d, row_sq)
+    return d
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:

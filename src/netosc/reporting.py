@@ -17,7 +17,11 @@ def _normalize(obj):
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _normalize(obj.tolist())
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            return _normalize(obj.tolist())
+        if obj.ndim > 1:
+            return [_normalize(row) for row in obj]
+        return [float(f"{x:.12g}") for x in obj.tolist()]  # the float branch below, in one pass
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):

@@ -53,7 +53,7 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if peak == 0:
         return mat.copy()
     # the plain norm squares entries, which overflows above 1e154 and underflows below 1e-154
-    scale = peak * np.linalg.norm(mat / peak, "fro")
+    scale = _unit_scale_norm(mat)
     zero_tol = ZERO_EIG_REL_TOL * scale
     # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
     # (k x k) nonsingular and T22 carrying the zero cluster
@@ -83,11 +83,12 @@ def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real Schur form in standard form.
 
     Each 2x2 block [[theta, b], [c, theta]] (bc < 0) holds the pair
-    theta +- i mu with mu = sqrt(-bc).
+    theta +- i mu with mu = sqrt(-bc), taken as sqrt|b| sqrt|c|: the product
+    bc would overflow or underflow where the block's entries do not.
     """
     eigs = np.diag(T).astype(complex)
     i = np.flatnonzero(np.diag(T, -1))
-    mu = np.sqrt(-T[i, i + 1] * T[i + 1, i])
+    mu = np.sqrt(np.abs(T[i, i + 1])) * np.sqrt(np.abs(T[i + 1, i]))
     eigs[i] += 1j * mu
     eigs[i + 1] -= 1j * mu
     return eigs
@@ -107,7 +108,8 @@ def _quasi_triangular_sqrt(T: np.ndarray, U: np.ndarray, lo: int, hi: int) -> No
         # root is alpha I + (T - theta I) / (2 alpha)
         block = T[lo:hi, lo:hi]
         theta = block[0, 0]
-        alpha = np.sqrt(complex(theta, np.sqrt(-block[0, 1] * block[1, 0]))).real
+        mu = np.sqrt(abs(block[0, 1])) * np.sqrt(abs(block[1, 0]))  # as in the eigenvalues
+        alpha = np.sqrt(complex(theta, mu)).real
         U[lo:hi, lo:hi] = alpha * np.eye(2) + (block - theta * np.eye(2)) / (2 * alpha)
         return
     mid = (lo + hi) // 2
@@ -177,9 +179,16 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBund
     return OperatorBundle(Lambda=Lambda, Omega=Omega, sd=sd)
 
 
+def _unit_scale_norm(X: np.ndarray) -> float:
+    """||X||_F as max|X| ||X / max|X|||_F, which neither overflows nor underflows."""
+    peak = np.abs(X).max(initial=0.0)
+    return float(peak * np.linalg.norm(X / peak, "fro")) if peak else 0.0
+
+
 def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:
-    """||root^2 - target||_F / ||target||_F, the plain norm when target = 0."""
-    return np.linalg.norm(root @ root - target, "fro") / (np.linalg.norm(target, "fro") or 1.0)
+    """||root^2 - target||_F / ||target||_F, both norms at unit scale; the plain
+    norm when target = 0."""
+    return _unit_scale_norm(root @ root - target) / (_unit_scale_norm(target) or 1.0)
 
 
 def sqrt_residual(bundle: OperatorBundle) -> float:

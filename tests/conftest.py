@@ -1,12 +1,18 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from netosc import build_bundle, from_edges, mode_interaction_matrix, spectral_decomposition
-from netosc.errors import NotSymmetrizable, NumericalFailure
-from netosc.graph import build_matrices
+from netosc.errors import (
+    DuplicateEdge, EmptyGraph, NonPositiveWeight, NotSymmetrizable, NumericalFailure, ParseError,
+    SelfLoop,
+)
+from netosc.graph import WeightedDigraph, build_matrices
 from netosc.symmetry import DEFAULT_TOL, LaplacianSplit
 
 # property tests draw the same examples on every run and keep tier-1 fast
@@ -103,6 +109,58 @@ def random_symmetric_graph(rng, n, weighted=False):
         edges.append((str(i), str(j), w))
         edges.append((str(j), str(i), w))
     return from_edges(edges)
+
+
+def build_loops(rows):
+    """Row-by-row validator of (line_no, raw, fields) rows, the oracle of the column
+    checks in graph._build: the same graph, or the same error class and message.
+
+    fields is (src, dst) or (src, dst, weight); labels become strings, and a
+    weight is anything float() accepts.  raw is what a ParseError quotes.
+    """
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, raw, fields in rows:
+        is_row = isinstance(fields, Sequence) and not isinstance(fields, (str, bytes))
+        if not is_row or len(fields) not in (2, 3):
+            raise ParseError(line_no, raw)
+        src_label, dst_label = str(fields[0]), str(fields[1])
+        try:
+            w = float(fields[2]) if len(fields) == 3 else 1.0
+        except (TypeError, ValueError):
+            raise ParseError(line_no, raw) from None
+        if src_label == dst_label:
+            raise SelfLoop(src_label)
+        if not 0 < w < math.inf:
+            raise NonPositiveWeight(line_no, w)
+        src = index.setdefault(src_label, len(index))
+        dst = index.setdefault(dst_label, len(index))
+        if (src, dst) in seen:
+            raise DuplicateEdge(src_label, dst_label)
+        seen.add((src, dst))
+        edges.append((src, dst, w))
+    if not edges:
+        raise EmptyGraph()
+    return WeightedDigraph(n=len(index), edges=tuple(edges), labels=tuple(index))
+
+
+def from_edges_loops(labeled_edges):
+    """graph.from_edges through build_loops: the k-th tuple is line k."""
+    return build_loops((k, e, e) for k, e in enumerate(labeled_edges, start=1))
+
+
+def parse_edge_list_loops(text):
+    """graph.parse_edge_list line by line through build_loops."""
+
+    def rows():
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                parts = [p.strip() for p in line.replace("\t", ",").split(",")]
+                yield line_no, raw, [p for p in parts if p]
+
+    return build_loops(rows())
 
 
 def check_symmetrizable_loops(g):

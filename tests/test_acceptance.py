@@ -147,11 +147,14 @@ def test_criterion_5_degree_centrality():
         g = random_symmetric_graph(RNG, n, weighted=False)
         _, _, L = build_matrices(g)
         degrees = np.diag(L)
-        r = degree_centrality_energy(g)
+        # the energy of unit amplitudes from the eigensystem, not the degrees
+        split, sd = spectral_decomposition(g)
+        r = node_energy(sd, np.ones(n), split=split)
         worst = max(worst, float(np.abs(r.per_node - degrees / 2).max()))
         # ties between equal-degree nodes are fine: the argmax must be a
         # max-degree node
         assert degrees[int(np.argmax(r.per_node))] == degrees.max()
+        assert np.abs(degree_centrality_energy(g).per_node - r.per_node).max() <= 1e-9
     assert worst <= 1e-9
     report(5, f"unit-amplitude energy equals degree/2, max error {worst:.2e}")
 

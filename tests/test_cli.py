@@ -29,6 +29,7 @@ from netosc import (
 )
 from netosc.cli import COMMANDS, build_parser, run, verify_graph
 from netosc.errors import GridMismatch, NumericalFailure
+from netosc.reporting import canonical_json
 from netosc.symmetry import symmetrized_eigenvalues
 
 from conftest import (
@@ -123,6 +124,20 @@ def test_deterministic_output(graph_file, capsys):
     first = capsys.readouterr().out
     run(["verify", "--input", path, "--seed", "7", "--t-end", "1"])
     assert capsys.readouterr().out == first
+
+
+def test_float_arrays_serialize_as_their_python_floats():
+    # canonical_json rounds a float64 array in one pass; the bytes are those of the
+    # generic path, which rounds each Python float of arr.tolist()
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e-300, 5e-324, 1 / 3, 2.5e-7, 123456789.123456]
+    for arr in (np.array(values), np.array(values[:10]).reshape(2, 5), np.zeros((2, 0, 3))):
+        report = {"a": arr, "b": [arr, {"c": arr[::-1]}]}
+        generic = {"a": arr.tolist(), "b": [arr.tolist(), {"c": arr[::-1].tolist()}]}
+        assert canonical_json(report) == canonical_json(generic)
+    assert canonical_json(np.array(values)) == (
+        "[-0.0,0.0,NaN,Infinity,-Infinity,1e+300,-1e-300,5e-324,"
+        "0.333333333333,2.5e-07,123456789.123]"
+    )
 
 
 def test_simulate_csv(graph_file, capsys):
@@ -500,7 +515,7 @@ def single_error_line(capsys):
     return json.loads(line)
 
 
-@pytest.mark.parametrize("command", ["simulate", "sqrt"])
+@pytest.mark.parametrize("command", ["simulate", "sqrt", "centrality"])
 def test_degree_overflow_exit_code(tmp_path, capsys, command):
     p = tmp_path / "heavy.csv"
     p.write_text("a,b,1e308\na,c,1e308\nb,a,1\nc,a,1\n")
@@ -804,6 +819,18 @@ def test_command_runs_on_one_blas_thread_per_pool(
     assert run(["info", "--input", graph_file(ring3())]) == (3 if fails else 0)
     assert seen == [[1] * len(blas_pools)]
     assert blas_counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_blas_scope_nests(blas_pools, graph_file, capsys):
+    # a command run inside an open scope leaves the counts to the outermost scope
+    if not blas_pools:
+        pytest.skip("no OpenBLAS loaded")
+    set_blas(blas_pools, 2)
+    with _blas.single_threaded():
+        assert run(["spectrum", "--input", graph_file(path3())]) == 0
+        assert blas_counts(blas_pools) == [1] * len(blas_pools)
+    assert blas_counts(blas_pools) == [2] * len(blas_pools)
+    assert capsys.readouterr().err == ""
 
 
 def test_blas_scope_without_a_pool_does_nothing(

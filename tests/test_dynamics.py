@@ -14,6 +14,7 @@ from netosc import (
     degree_centrality_energy,
     doubled,
     flaming_indicator,
+    from_edges,
     integrate_fundamental,
     integrate_wave,
     mode_interaction_matrix,
@@ -254,21 +255,59 @@ def test_degree_centrality_weighted(rng):
 )
 def test_unit_amplitude_energy_is_half_the_degree(seed, n, balanced):
     # the degree/2 law: diag(S0) = diag(L) is the out-degree d, so each node holds
-    # d/2 and the total is sum(d)/2, up to the rounding of P^2 (lambda) in mode space
+    # d/2 and the total is sum(d)/2, up to the rounding of P^2 (lambda) in mode space;
+    # the spectral energy is the oracle of degree_centrality_energy, which reads d
     rng = np.random.default_rng(seed)
     if balanced:
         g = random_detailed_balance_graph(rng, n)
     else:
         g = random_symmetric_graph(rng, n, weighted=True)
     d = np.diag(build_matrices(g)[2])
+    split, sd = spectral_decomposition(g)
+    spectral = node_energy(sd, np.ones(n), split=split)
+    assert np.all(np.abs(spectral.per_node - d / 2) <= 1e-13 * d / 2)
+    assert abs(spectral.total - d.sum() / 2) <= 1e-13 * d.sum() / 2
     report = degree_centrality_energy(g)
-    assert np.all(np.abs(report.per_node - d / 2) <= 1e-13 * d / 2)
-    assert abs(report.total - d.sum() / 2) <= 1e-13 * d.sum() / 2
+    assert np.all(np.abs(report.per_node - spectral.per_node) <= 1e-13 * d / 2)
+    assert abs(report.total - spectral.total) <= 1e-13 * d.sum() / 2
 
 
 def test_degree_centrality_rejects_one_way():
-    with pytest.raises(NotSymmetrizable):
+    with pytest.raises(NotSymmetrizable, match="^energy centrality requires a symmetrizable graph$"):
         degree_centrality_energy(ring3())
+
+
+def test_degree_centrality_builds_no_dense_matrix():
+    # a bidirected ring with 4000 nodes: one dense n x n array would be 128 MB
+    n = 4000
+    edges = [(str(i), str((i + 1) % n), 1.0 + i % 3) for i in range(n)]
+    g = from_edges(edges + [(d, s, w) for s, d, w in edges])
+    tracemalloc.start()
+    try:
+        report = degree_centrality_energy(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = 1.0 + np.arange(n) % 3
+    assert np.array_equal(report.per_node, (weights + np.roll(weights, 1)) / 2)
+    assert peak < 4 * 1024**2
+
+
+def test_degree_centrality_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    report = degree_centrality_energy(path3())
+    assert report.per_node.tolist() == [0.5, 1.0, 0.5] and report.total == 2.0
+
+
+def test_degree_centrality_passes_a_numerical_failure_through():
+    # m_c leaves the normal float range: check_symmetrizable cannot decide the graph
+    g = from_edges([("a", "b", 1e-150), ("b", "a", 1.0), ("b", "c", 1e-165), ("c", "b", 3.0)])
+    with pytest.raises(NumericalFailure, match="symmetrizing weights m fall outside"):
+        degree_centrality_energy(g)
 
 
 def test_flaming_symmetrizable_is_stable(rng):

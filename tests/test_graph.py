@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netosc import build_matrices, from_edges
@@ -12,9 +12,11 @@ from netosc.errors import (
     ParseError,
     SelfLoop,
 )
-from netosc.graph import load_edge_list, parse_edge_list
+from netosc.graph import WeightedDigraph, load_edge_list, parse_edge_list
 
-from conftest import random_digraph, ring3, to_edge_list
+from conftest import (
+    from_edges_loops, parse_edge_list_loops, random_digraph, ring3, to_edge_list,
+)
 
 
 def test_minimal_two_node_graph():
@@ -165,3 +167,110 @@ def test_tuples_and_text_follow_one_rule_set(rows):
         assert getattr(got.value, "line_no", None) == getattr(exc, "line_no", None)
     else:
         assert from_edges(rows) == want
+
+
+def outcome(build, arg):
+    """The graph build(arg) returns, or the class and message of its input error."""
+    try:
+        return build(arg)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+LABELS = ["a", "b", "c", "é", "节点", "x y"]
+WEIGHT_TEXTS = ["1", "2.5", " 3 ", "1e-320", "1_0", "0", "-1", "nan", "inf", "-inf", "1e400", "abc"]
+SEPARATORS = [",", ",", "\t", " , ", ",,", "\t,", ", \t"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+COMMENTS = ["", "", "", "# note", "  # a,b,1", "#\t#,"]
+
+
+@st.composite
+def edge_list_text(draw):
+    """Edge-list text: mostly edge rows, some with a fault, and blank, comma-only and
+    comment lines, under every line end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=2, unique=True))
+        shape = draw(st.sampled_from(["two"] * 4 + ["three"] * 5 + ["self-loop", "one", "four"]))
+        if shape == "self-loop":
+            fields[1] = fields[0]
+        if shape in ("three", "four"):
+            # a valid weight (the first five) far more often than a faulty one
+            fields.append(draw(st.sampled_from(WEIGHT_TEXTS[:5] * 8 + WEIGHT_TEXTS[5:])))
+        if shape == "four":
+            fields.append("1")
+        if shape == "one":
+            fields.pop()
+        sep = draw(st.sampled_from(SEPARATORS))
+        line = draw(st.sampled_from(["", " ", ",", "\t"])) + sep.join(fields)
+        line = draw(st.sampled_from([line] * 12 + ["", " \t ", ",", " , "]))
+        lines.append(line + draw(st.sampled_from(COMMENTS)) + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(lines)
+
+
+@settings(max_examples=60)
+@given(text=edge_list_text())
+def test_parse_matches_the_line_by_line_oracle(text):
+    got = outcome(parse_edge_list, text)
+    assert got == outcome(parse_edge_list_loops, text)
+    if isinstance(got, WeightedDigraph):
+        assert all([type(x) for x in e] == [int, int, float] for e in got.edges)
+
+
+@st.composite
+def edge_tuples(draw):
+    """from_edges rows: 1- to 4-item tuples of labels and weights, and rows of no shape."""
+    items = st.sampled_from(LABELS + [0, 1, 2.5])
+    weights = st.sampled_from(WEIGHT_TEXTS + [0.0, -1, 1.0, 2, float("nan"), float("inf"), None])
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, 4))
+        row = [draw(items) for _ in range(min(size, 2))] + [draw(weights) for _ in range(size - 2)]
+        rows.append(draw(st.sampled_from([tuple(row), list(row), tuple(row), "ab", 5, None])))
+    return rows
+
+
+@given(rows=edge_tuples())
+def test_from_edges_matches_the_row_by_row_oracle(rows):
+    assert outcome(from_edges, rows) == outcome(from_edges_loops, rows)
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+def test_comments_end_at_every_line_boundary(end):
+    text = f"a,b # x, y{end}# only{end}b,a,2{end}#{end}b,c,oops # z{end}"
+    with pytest.raises(ParseError, match=r"^line 5: cannot parse 'b,c,oops # z'$"):
+        parse_edge_list(text)
+    good = text[: text.index("b,c")]
+    assert parse_edge_list(good) == parse_edge_list_loops(good)
+    assert parse_edge_list(good).edges == ((0, 1, 1.0), (1, 0, 2.0))
+
+
+def test_weights_are_what_float_reads():
+    # underscores, exponents and a full-width digit, as float() takes them
+    g = parse_edge_list("a,b,1_0\nb,a, 2.5e0 \na,c,\t１")
+    assert [w for _, _, w in g.edges] == [10.0, 2.5, 1.0]
+
+
+def test_a_comment_between_cr_and_lf_keeps_the_line_count():
+    # "\r" and "\n" are two line ends when a comment stands between them
+    with pytest.raises(ParseError, match=r"^line 3: cannot parse 'oops'$"):
+        parse_edge_list("a,b\r# c\noops\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "error", "detail"),
+    [
+        ("a,a\nb,c,0", SelfLoop, "self-loop at node a"),
+        ("a,b,0\nc,c", NonPositiveWeight, "line 1: weight 0.0 is not a positive finite number"),
+        ("a,b\na,b,abc", ParseError, "line 2: cannot parse 'a,b,abc'"),
+        ("a,b\na,b,-1", NonPositiveWeight, "line 2: weight -1.0 is not a positive finite number"),
+        ("a,b,1e400", NonPositiveWeight, "line 1: weight inf is not a positive finite number"),
+        ("a,b,1_0\na,b\nb,b", DuplicateEdge, "duplicate edge a->b"),
+        ("a,b\n,\nb,b", ParseError, "line 2: cannot parse ','"),
+        ("a,b,1,2\nb,b", ParseError, "line 1: cannot parse 'a,b,1,2'"),
+    ],
+)
+def test_the_first_faulty_line_wins(text, error, detail):
+    with pytest.raises(error) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == detail

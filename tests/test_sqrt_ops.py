@@ -1,5 +1,7 @@
 import contextlib
+import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from scipy.optimize import linear_sum_assignment
 from netosc import _blas, build_matrices, principal_sqrt
 from netosc import from_edges, sqrt_residual
 from netosc.errors import DimensionMismatch, NetoscError, NumericalFailure, SqrtUndefined
-from netosc.sqrt_ops import _quasi_triangular_sqrt, node_sqrt_residual
+from netosc.cli import run
+from netosc.sqrt_ops import OperatorBundle, _quasi_triangular_sqrt, node_sqrt_residual
 
-from conftest import bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2
+from conftest import (
+    bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2, to_edge_list,
+)
 
 
 def eig_sqrt(mat):
@@ -334,3 +339,45 @@ def test_schur_failure_raises_numerical_failure(monkeypatch, info, reason):
     monkeypatch.setattr(_blas, "_lapacke", lambda: (lambda *args: info, *lapack[1:]))
     with pytest.raises(NumericalFailure, match=f"^Schur decomposition failed: .*{reason}"):
         principal_sqrt(np.array([[1.0, 2.0], [0.0, 3.0]]))
+
+
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_principal_sqrt_of_a_huge_and_a_tiny_rotation(lapack_path):
+    # the complex pair +-i s sits in a 2x2 Schur block [[0, b], [c, 0]]; mu = sqrt(-bc)
+    # overflowed at s = 1e200 and underflowed at 1e-200, where sqrt|b| sqrt|c| does not
+    unit = principal_sqrt(ROTATION)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200):
+            root = principal_sqrt(scale * ROTATION)
+            assert np.allclose(root, np.sqrt(scale) * unit, rtol=1e-15, atol=0)
+
+
+def test_cli_root_of_a_tiny_ring_at_unit_scale(lapack_path, tmp_path, capsys):
+    # ring3's complex pair: at w = 1e-170 the product bc underflowed and the root
+    # left a residual of 0.072 at unit scale; both residuals are now taken there too
+    w = 1e-170
+    g = from_edges([("1", "2", w), ("2", "3", w), ("3", "1", w)])
+    p = tmp_path / "ring3.csv"
+    p.write_text(to_edge_list(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sqrt", "--input", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 < report["omega_residual"] <= 1e-14
+    assert 0 < report["h_residual"] <= 1e-14
+    b = bundle_for(g)
+    Omega, Lambda = b.Omega / np.sqrt(w), b.Lambda / w
+    assert np.linalg.norm(Omega @ Omega - Lambda) <= 1e-14 * np.linalg.norm(Lambda)
+
+
+@pytest.mark.parametrize("w", [1e-200, 1e-170, 1e-150, 1e-100, 1.0, 1e100, 1e150])
+def test_a_doubled_root_reads_three_at_every_scale(w):
+    # (2 Omega)^2 - Lambda = 3 Lambda: the plain norms underflowed to 0 below 1e-150
+    b = bundle_for(from_edges([("1", "2", w), ("2", "3", w), ("3", "1", w)]))
+    doubled = OperatorBundle(Lambda=b.Lambda, Omega=2 * b.Omega, sd=b.sd)
+    assert sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
+    assert node_sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
+    assert sqrt_residual(b) <= 1e-14 and node_sqrt_residual(b) <= 1e-14
