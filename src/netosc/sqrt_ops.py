@@ -53,7 +53,7 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if peak == 0:
         return mat.copy()
     # the plain norm squares entries, which overflows above 1e154 and underflows below 1e-154
-    scale = _unit_scale_norm(mat)
+    scale = peak * np.linalg.norm(mat / peak, "fro")
     zero_tol = ZERO_EIG_REL_TOL * scale
     # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
     # (k x k) nonsingular and T22 carrying the zero cluster
@@ -182,7 +182,9 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBund
 def _unit_scale_norm(X: np.ndarray) -> float:
     """||X||_F as max|X| ||X / max|X|||_F, which neither overflows nor underflows."""
     peak = np.abs(X).max(initial=0.0)
-    return float(peak * np.linalg.norm(X / peak, "fro")) if peak else 0.0
+    if not 0 < peak < np.inf:
+        return float(peak)  # 0, inf or nan: the norm itself
+    return float(peak * np.linalg.norm(X / peak, "fro"))
 
 
 def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:

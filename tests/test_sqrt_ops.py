@@ -14,7 +14,8 @@ from netosc import _blas, build_matrices, principal_sqrt
 from netosc import from_edges, sqrt_residual
 from netosc.errors import DimensionMismatch, NetoscError, NumericalFailure, SqrtUndefined
 from netosc.cli import run
-from netosc.sqrt_ops import OperatorBundle, _quasi_triangular_sqrt, node_sqrt_residual
+from netosc.sqrt_ops import OperatorBundle, _quasi_triangular_sqrt, _relative_residual
+from netosc.sqrt_ops import node_sqrt_residual
 
 from conftest import (
     bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2, to_edge_list,
@@ -381,3 +382,10 @@ def test_a_doubled_root_reads_three_at_every_scale(w):
     assert sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
     assert node_sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
     assert sqrt_residual(b) <= 1e-14 and node_sqrt_residual(b) <= 1e-14
+
+
+def test_an_overflowing_residual_reads_infinity():
+    # root^2 overflows to inf; the unit-scale norm must not turn inf / inf into nan
+    with np.errstate(over="ignore"):
+        assert _relative_residual(np.array([[1e200]]), np.array([[1.0]])) == np.inf
+    assert _relative_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
