@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import _blas, doubled, dynamics, graph, sqrt_ops, symmetry
-from .errors import GridMismatch, NetoscError, NotSymmetrizable, NumericalFailure
+from .errors import GridMismatch, NetoscError, NotSymmetrizable
 from .reporting import canonical_json
 
 
@@ -98,13 +98,13 @@ def _default_x0(n):
 
 def cmd_info(args):
     g = graph.load_edge_list(args.input)
-    A, D, _ = graph.build_matrices(g)
+    d = graph.out_degrees(g)
     return {
         "n": g.n,
         "num_edges": len(g.edges),
         "labels": list(g.labels),
-        "out_degrees": np.diag(D),
-        "total_weight": float(A.sum()),
+        "out_degrees": d,
+        "total_weight": float(d.sum()),
     }
 
 
@@ -135,7 +135,7 @@ def cmd_spectrum(args):
     g = graph.load_edge_list(args.input)
     split = symmetry.decompose_laplacian(g)
     return {
-        "eigenvalues": symmetry.symmetrized_eigenvalues(split.L0, split.m),
+        "eigenvalues": symmetry.symmetrized_eigenvalues(split),
         "m": split.m,
         "symmetrizable": split.is_pure_symmetrizable,
     }
@@ -227,12 +227,7 @@ def cmd_centrality(args):
 
 
 def cmd_flaming(args):
-    g = graph.load_edge_list(args.input)
-    L = graph.laplacian(g)
-    try:  # a symmetrizable graph's spectrum is real: no general eigensolve
-        ind = dynamics.flaming_indicator(L, symmetry.check_symmetrizable(g))
-    except (NotSymmetrizable, NumericalFailure):
-        ind = dynamics.flaming_indicator(L)
+    ind = dynamics.graph_flaming_indicator(graph.load_edge_list(args.input))
     return {
         "growth_rate": ind.growth_rate,
         "worst_eigenvalue": ind.worst_eigenvalue,

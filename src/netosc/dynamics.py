@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (
     DimensionMismatch, GridMismatch, ModelViolation, NotSymmetrizable, NumericalFailure,
 )
-from .graph import WeightedDigraph, out_degrees
-from .symmetry import SpectralDecomposition, check_symmetrizable, symmetrized_eigenvalues
+from .graph import WeightedDigraph, laplacian, out_degrees
+from .symmetry import SpectralDecomposition, decompose_laplacian, symmetrized_eigenvalues
 from .symmetry import spectral_decomposition  # noqa: F401  (perfbench wraps this binding)
 
 T_END, DT = 10.0, 1e-3             # the default grid
@@ -367,29 +367,42 @@ def degree_centrality_energy(g: WeightedDigraph) -> EnergyReport:
     gate comes first (DegreeOverflow); a graph check_symmetrizable refuses raises
     NotSymmetrizable, and its NumericalFailure passes through.
     """
+    if not decompose_laplacian(g).is_pure_symmetrizable:
+        raise NotSymmetrizable("energy centrality requires a symmetrizable graph")
     d = out_degrees(g)
-    try:
-        check_symmetrizable(g)
-    except NotSymmetrizable:
-        raise NotSymmetrizable("energy centrality requires a symmetrizable graph") from None
     return EnergyReport(total=float(0.5 * d.sum()), per_node=0.5 * d)
 
 
-def flaming_indicator(L, m=None) -> FlamingIndicator:
-    """Divergence score: max |Im sqrt(lambda)| over the Laplacian spectrum, eigvals(L);
-    given L's symmetrizing weights m it is eigvalsh of S0 = M^{1/2} L M^{-1/2}, real,
-    taken in descending order so that the worst eigenvalue of a zero rate is the largest."""
+def flaming_indicator(L) -> FlamingIndicator:
+    """Divergence score: max |Im sqrt(lambda)| over the spectrum of L, from eigvals(L)."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
         raise DimensionMismatch(f"flaming_indicator needs a nonempty square L, got {L.shape}")
     try:
-        eigs = np.linalg.eigvals(L) if m is None else symmetrized_eigenvalues(L, m)[::-1]
+        eigs = np.linalg.eigvals(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    return _indicator(eigs, np.linalg.norm(L, "fro"))
+
+
+def graph_flaming_indicator(g: WeightedDigraph) -> FlamingIndicator:
+    """flaming_indicator of g's Laplacian.  A symmetrizable g takes no dense L: the real
+    eigvalsh of S0, descending, so a zero rate's worst eigenvalue is the largest, and
+    ||L||_F from the edge arrays.  Any other g, or a NumericalFailure, takes eigvals(L)."""
+    try:
+        split = decompose_laplacian(g)  # the ||L||_F gate comes first
+        if split.is_pure_symmetrizable:
+            d, w = out_degrees(g), g.edge_arrays[2]
+            return _indicator(symmetrized_eigenvalues(split)[::-1], math.sqrt(d @ d + w @ w))
+    except NumericalFailure:
+        pass
+    return flaming_indicator(laplacian(g))
+
+
+def _indicator(eigs, norm) -> FlamingIndicator:
     # snap eigenvalues within solver rounding of the nonnegative real axis onto
     # it: sqrt amplifies an O(eps) imaginary part near 0 to O(sqrt(eps)).  Both
     # the clip and the threshold scale with L, so cL gives the same verdict
-    norm = np.linalg.norm(L, "fro")
     clip = 1e-9 * norm
     eigs = eigs.astype(complex)
     on_axis = (np.abs(eigs.imag) <= clip) & (eigs.real >= -clip)

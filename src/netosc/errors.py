@@ -59,6 +59,10 @@ class DegreeOverflow(InputError):
         )
 
 
+class GraphTooLarge(InputError):
+    """A dense n x n stage over graph.DENSE_BYTES (exit code 2)."""
+
+
 class NumericalFailure(NetoscError):
     """Numerical breakdown: solver non-convergence, overflow (exit code 3)."""
 

@@ -23,6 +23,7 @@ from .errors import (
     DegreeOverflow,
     DuplicateEdge,
     EmptyGraph,
+    GraphTooLarge,
     NonPositiveWeight,
     NotUtf8,
     ParseError,
@@ -48,11 +49,17 @@ class WeightedDigraph:
         src, dst, w = flat.reshape(-1, 3).T.copy()
         return src.astype(np.intp), dst.astype(np.intp), w
 
+    @functools.cached_property
+    def reverse(self) -> np.ndarray:
+        """Each edge's reverse link as an edge index, or -1; shared, so never written to."""
+        src, dst, _ = self.edge_arrays
+        keys, reverse_keys = src * self.n + dst, dst * self.n + src
+        order = np.argsort(keys)
+        rev = order[np.searchsorted(keys, reverse_keys, sorter=order).clip(max=len(keys) - 1)]
+        return np.where(keys[rev] == reverse_keys, rev, -1)
+
     def adjacency(self) -> np.ndarray:
-        src, dst, w = self.edge_arrays
-        A = np.zeros((self.n, self.n))
-        A[src, dst] = w
-        return A
+        return dense(self.n, *self.edge_arrays)
 
 
 def _floats(values) -> tuple[np.ndarray, int]:
@@ -190,37 +197,49 @@ def load_edge_list(path) -> WeightedDigraph:
     return parse_edge_list(text)
 
 
-def _norm_gate(g: WeightedDigraph, d: np.ndarray, row_sq: np.ndarray) -> None:
-    """DegreeOverflow unless ||L||_F^2 = sum_i (d_i^2 + sum_j A_ij^2) is finite, naming
-    the node whose row first takes the running sum past it; row_sq[i] = sum_j A_ij^2."""
+DENSE_BYTES = 2**30  # the largest n x n float64 array the package builds: n <= 11585
+
+
+def dense(n, rows, cols, values) -> np.ndarray:
+    """A zeroed n x n float64 array with `values` at (rows, cols), the scatter behind every
+    matrix built from a graph's links.  GraphTooLarge above DENSE_BYTES, before allocating."""
+    if 8 * n * n > DENSE_BYTES:
+        raise GraphTooLarge(f"{n} nodes: an n x n matrix takes {8 * n * n} bytes > {DENSE_BYTES}")
+    X = np.zeros((n, n))
+    X[rows, cols] = values
+    return X
+
+
+def link_laplacian(n, rows, cols, w) -> np.ndarray:
+    """The Laplacian of the links (rows, cols) of weights w: -w off the diagonal, the row
+    sums d on it.  d sums each dense row, in the order of A.sum(axis=1), so the result is
+    bitwise diag(A.sum(axis=1)) - A, signed zeros included (0.0 - +0.0 is +0.0)."""
+    L = dense(n, rows, cols, -w)
     with np.errstate(over="ignore"):
-        overflow = np.flatnonzero(np.isinf(np.cumsum(d * d + row_sq)))
-    if len(overflow):
-        raise DegreeOverflow(g.labels[overflow[0]])
-
-
-def build_matrices(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (A, D, L) with L = D - A and D the out-degree diagonal.
-
-    ||L||_F must be finite, which also bounds every degree; see _norm_gate.
-    """
-    A = g.adjacency()
-    with np.errstate(over="ignore"):
-        d = A.sum(axis=1)
-    _norm_gate(g, d, np.einsum("ij,ij->i", A, A))
-    D = np.diag(d)
-    return A, D, D - A
+        L.flat[:: n + 1] = 0.0 - L.sum(axis=1)
+    return L
 
 
 def out_degrees(g: WeightedDigraph) -> np.ndarray:
-    """The weighted out-degrees d from the edge arrays, O(edges), behind the same
-    ||L||_F gate as build_matrices."""
+    """The out-degrees d from the edge arrays, O(edges), and the gate of every Laplacian:
+    DegreeOverflow unless ||L||_F^2 = sum_i (d_i^2 + sum_j A_ij^2) is finite, naming the
+    node whose row first takes the running sum past it."""
     src, _, w = g.edge_arrays
     with np.errstate(over="ignore"):
-        d, row_sq = np.bincount(src, w, g.n), np.bincount(src, w * w, g.n)
-    _norm_gate(g, d, row_sq)
+        d = np.bincount(src, w, g.n)
+        overflow = np.flatnonzero(np.isinf(np.cumsum(d * d + np.bincount(src, w * w, g.n))))
+    if len(overflow):
+        raise DegreeOverflow(g.labels[overflow[0]])
     return d
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
-    return build_matrices(g)[2]
+    """L = D - A, scattered from the edge arrays (see link_laplacian and out_degrees)."""
+    out_degrees(g)
+    return link_laplacian(g.n, *g.edge_arrays)
+
+
+def build_matrices(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (A, D, L) with L = D - A and D the out-degree diagonal (see laplacian)."""
+    L = laplacian(g)
+    return g.adjacency(), np.diag(L.diagonal()), L

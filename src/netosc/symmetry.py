@@ -8,12 +8,13 @@ are split into a symmetrizable part plus a one-way-link remainder.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetrizable, NumericalFailure
-from .graph import WeightedDigraph, build_matrices
+from .graph import WeightedDigraph, dense, laplacian, link_laplacian, out_degrees
 
 DEFAULT_TOL = 1e-9
 
@@ -29,15 +30,41 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class LaplacianSplit:
-    """L = L0 + LI with L0 symmetrizable (under m) and LI one-way."""
+    """L = L0 + LI with L0 symmetrizable (under m) and LI one-way; L0 is the Laplacian of
+    the links (src, dst, w0) of g, link k's reverse at rev[k].  L0 and LI are lazy."""
 
-    L0: np.ndarray
-    LI: np.ndarray
+    g: WeightedDigraph
+    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (src, dst, w0, rev)
     m: np.ndarray
+    is_pure_symmetrizable: bool  # LI = 0
 
-    @property
-    def is_pure_symmetrizable(self) -> bool:
-        return not np.any(self.LI)
+    @functools.cached_property
+    def L0(self) -> np.ndarray:
+        return link_laplacian(self.g.n, *self.links[:3])
+
+    @functools.cached_property
+    def LI(self) -> np.ndarray:
+        """L - L0 entrywise, exact zeros on a symmetrizable graph."""
+        pure = self.is_pure_symmetrizable
+        return dense(self.g.n, [], [], []) if pure else laplacian(self.g) - self.L0
+
+    def symmetric_form(self) -> np.ndarray | None:
+        """0.5 (S0 + S0^T) for S0 = M^{1/2} L0 M^{-1/2}, or None when L0 = 0, filled from the
+        links into one n x n array: S0_ij = (sqrt(m_i) L0_ij) (1 / sqrt(m_j)), bitwise the
+        dense formula.  An asymmetry above DEFAULT_TOL * max|S0| is a NumericalFailure."""
+        src, dst, w0, rev = self.links
+        if not len(src):
+            return None
+        S = link_laplacian(self.g.n, src, dst, w0)
+        r = np.sqrt(self.m)
+        s = (r[src] * -w0) * (1.0 / r)[dst]
+        diag = (r * S.diagonal()) * (1.0 / r)
+        asym = np.abs(s - s[rev]).max()
+        if asym > DEFAULT_TOL * max(np.abs(s).max(), np.abs(diag).max()):
+            raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
+        S[src, dst] = 0.5 * (s + s[rev])
+        S.flat[:: self.g.n + 1] = 0.5 * (diag + diag)
+        return S
 
 
 def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
@@ -52,11 +79,8 @@ def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
     normalized, raises NumericalFailure.
     """
     src, dst, w = g.edge_arrays
-    # each edge's reverse link, by a sorted-key lookup
-    keys, reverse_keys = src * g.n + dst, dst * g.n + src
-    order = np.argsort(keys)
-    rev = order[np.searchsorted(keys, reverse_keys, sorter=order).clip(max=len(keys) - 1)]
-    one_way = np.flatnonzero(keys[rev] != reverse_keys)
+    rev = g.reverse
+    one_way = np.flatnonzero(rev < 0)
     if len(one_way):
         e = one_way[0]
         raise NotSymmetrizable("one_way_edge", edge=(g.labels[src[e]], g.labels[dst[e]]))
@@ -92,20 +116,22 @@ def check_symmetrizable(g: WeightedDigraph) -> np.ndarray:
 
 
 def decompose_laplacian(g: WeightedDigraph) -> LaplacianSplit:
-    """Split L into a symmetrizable part L0 and a one-way remainder LI.
+    """Split L into a symmetrizable part L0 and a one-way remainder LI, O(edges).
 
-    Symmetrizable input keeps L whole (LI = 0).  Otherwise m is fixed to 1
-    and each linked pair contributes min(w_ij, w_ji) symmetrically to L0;
-    the residual weight goes one-way into LI, so LI = L - L0 entrywise.
+    Symmetrizable input keeps L whole (LI = 0).  Otherwise m is fixed to 1 and each
+    linked pair contributes min(w_ij, w_ji) symmetrically to L0; the residual weight
+    goes one-way into LI, so LI = L - L0 entrywise.  The ||L||_F gate comes first.
     """
-    A, _, L = build_matrices(g)
+    out_degrees(g)
+    src, dst, w = g.edge_arrays
     try:
-        return LaplacianSplit(L0=L, LI=np.zeros_like(L), m=check_symmetrizable(g))
+        return LaplacianSplit(g, (src, dst, w, g.reverse), check_symmetrizable(g), True)
     except NotSymmetrizable:
         pass
-    A0 = np.minimum(A, A.T)
-    L0 = np.diag(A0.sum(axis=1)) - A0
-    return LaplacianSplit(L0=L0, LI=L - L0, m=np.ones(g.n))
+    pairs = np.flatnonzero(g.reverse >= 0)
+    rev = g.reverse[pairs]
+    links = src[pairs], dst[pairs], np.minimum(w[pairs], w[rev]), np.searchsorted(pairs, rev)
+    return LaplacianSplit(g, links, np.ones(g.n), False)
 
 
 def _fix_signs(P: np.ndarray) -> np.ndarray:
@@ -114,44 +140,39 @@ def _fix_signs(P: np.ndarray) -> np.ndarray:
     return P * np.where(top < 0, -1.0, 1.0)
 
 
-def _similarity(X: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M^{1/2} X M^{-1/2}, row scaling first, as broadcast products."""
-    m_sqrt = np.sqrt(m)
-    return (m_sqrt[:, None] * X) * (1.0 / m_sqrt)
-
-
-def _eigen(L0: np.ndarray, m: np.ndarray, vectors: bool):
-    """eigh (vectors) or eigvalsh of S0 = M^{1/2} L0 M^{-1/2}, symmetric by construction:
-    an asymmetry above DEFAULT_TOL * max|S0| raises NumericalFailure."""
-    S0 = _similarity(L0, m)
-    asym = np.abs(S0 - S0.T).max()
-    if asym > DEFAULT_TOL * np.abs(S0).max():
-        raise NumericalFailure(f"symmetrized form is not symmetric (residual {asym:.3e})")
+def _eigen(split: LaplacianSplit, vectors: bool):
+    """eigh (vectors) or eigvalsh of split.symmetric_form().  Each zero row and column of
+    it holds an exact eigenvalue 0, so eigvalsh solves the linked rows alone and merges
+    those zeros back in ascending order."""
+    S, n = split.symmetric_form(), split.g.n
+    if S is None:
+        return (np.zeros(n), np.eye(n)) if vectors else np.zeros(n)
     try:
-        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(0.5 * (S0 + S0.T))
+        if vectors:
+            return np.linalg.eigh(S)
+        live = np.flatnonzero(S.any(axis=1))
+        lam = np.linalg.eigvalsh(S if len(live) == n else S[np.ix_(live, live)])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    return np.sort(np.concatenate([np.zeros(n - len(live)), lam]), kind="stable")
 
 
-def symmetrize(L0: np.ndarray, m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} (see _eigen)."""
-    n = L0.shape[0]
-    if not np.any(L0):
-        # empty symmetrizable part: any orthonormal basis works, pick identity
-        return SpectralDecomposition(eigenvalues=np.zeros(n), P=np.eye(n), m=m)
-    lam, P = _eigen(L0, m, vectors=True)
-    return SpectralDecomposition(eigenvalues=lam, P=_fix_signs(P), m=m)
+def symmetrize(split: LaplacianSplit) -> SpectralDecomposition:
+    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} of a split (see _eigen); for L0 = 0 any
+    orthonormal basis works, so P is the identity."""
+    lam, P = _eigen(split, vectors=True)
+    return SpectralDecomposition(eigenvalues=lam, P=_fix_signs(P), m=split.m)
 
 
-def symmetrized_eigenvalues(L0: np.ndarray, m: np.ndarray) -> np.ndarray:
+def symmetrized_eigenvalues(split: LaplacianSplit) -> np.ndarray:
     """Ascending eigenvalues of S0 alone, as symmetrize's but without eigenvectors."""
-    return _eigen(L0, m, vectors=False) if np.any(L0) else np.zeros(L0.shape[0])
+    return _eigen(split, vectors=False)
 
 
 def spectral_decomposition(g: WeightedDigraph):
     """Convenience: split the graph and eigendecompose its symmetrizable part."""
     split = decompose_laplacian(g)
-    return split, symmetrize(split.L0, split.m)
+    return split, symmetrize(split)
 
 
 def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
@@ -168,4 +189,5 @@ def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.nda
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
     if not np.any(LI):
         return np.zeros(LI.shape)
-    return sd.P.T @ _similarity(LI, sd.m) @ sd.P
+    m_sqrt = np.sqrt(sd.m)
+    return sd.P.T @ ((m_sqrt[:, None] * LI) * (1.0 / m_sqrt)) @ sd.P

@@ -2,6 +2,7 @@
 
 import math
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from netosc.errors import (
     SelfLoop,
 )
 from netosc.graph import WeightedDigraph, build_matrices
-from netosc.symmetry import DEFAULT_TOL, LaplacianSplit
+from netosc.symmetry import DEFAULT_TOL
 
 # property tests draw the same examples on every run and keep tier-1 fast
 settings.register_profile("netosc", derandomize=True, deadline=None, max_examples=40)
@@ -198,11 +199,23 @@ def check_symmetrizable_loops(g):
     return m
 
 
+def build_matrices_dense(g):
+    """The dense (A, D, L) construction, the oracle of the scatter in graph.link_laplacian:
+    A filled edge by edge, d = A.sum(axis=1), L = D - A."""
+    A = np.zeros((g.n, g.n))
+    for s, d, w in g.edges:
+        A[s, d] = w
+    with np.errstate(over="ignore"):
+        D = np.diag(A.sum(axis=1))
+    return A, D, D - A
+
+
 def decompose_laplacian_loops(g):
-    """symmetry.decompose_laplacian with the reciprocal part built edge by edge."""
-    _, _, L = build_matrices(g)
+    """symmetry.decompose_laplacian as dense matrices, the reciprocal part built edge by
+    edge: a namespace of L0, LI and m."""
+    _, _, L = build_matrices_dense(g)
     try:
-        return LaplacianSplit(L0=L, LI=np.zeros_like(L), m=check_symmetrizable_loops(g))
+        return SimpleNamespace(L0=L, LI=np.zeros_like(L), m=check_symmetrizable_loops(g))
     except NotSymmetrizable:
         pass
     w = {(s, d): wt for s, d, wt in g.edges}
@@ -210,7 +223,15 @@ def decompose_laplacian_loops(g):
     for (s, d), wij in w.items():
         A0[s, d] = min(wij, w.get((d, s), 0.0))
     L0 = np.diag(A0.sum(axis=1)) - A0
-    return LaplacianSplit(L0=L0, LI=L - L0, m=np.ones(g.n))
+    return SimpleNamespace(L0=L0, LI=L - L0, m=np.ones(g.n))
+
+
+def symmetric_form_dense(L0, m):
+    """0.5 (S0 + S0^T) with S0 = M^{1/2} L0 M^{-1/2} formed as n x n products, the oracle
+    of LaplacianSplit.symmetric_form."""
+    m_sqrt = np.sqrt(m)
+    S0 = (m_sqrt[:, None] * L0) * (1.0 / m_sqrt)
+    return 0.5 * (S0 + S0.T)
 
 
 def fix_signs_loops(P):

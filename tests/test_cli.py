@@ -20,7 +20,7 @@ from netosc import (
     _blas,
     build_matrices,
     dynamics,
-    check_symmetrizable,
+    decompose_laplacian,
     flaming_indicator,
     from_edges,
     load_edge_list,
@@ -339,7 +339,7 @@ def test_flaming_of_a_symmetrizable_graph_matches_the_general_solve(tmp_path_fac
     general = flaming_indicator(L)
     assert report["growth_rate"] == general.growth_rate == 0.0
     assert report["verdict"] == general.verdict == "stable"
-    lam_max = symmetrized_eigenvalues(L, check_symmetrizable(g))[-1]
+    lam_max = symmetrized_eigenvalues(decompose_laplacian(g))[-1]
     assert report["worst_eigenvalue"] == lam_max
     assert lam_max == pytest.approx(np.linalg.eigvals(L).real.max(), rel=1e-9)
 
@@ -526,6 +526,45 @@ def test_degree_overflow_exit_code(tmp_path, capsys, command):
     assert code == 2
     assert report["error"] == "DegreeOverflow"
     assert "node a" in report["detail"]
+
+
+
+def test_dense_commands_refuse_a_graph_over_the_dense_budget(graph_file, capsys, monkeypatch):
+    # a 9 x 9 array fits the budget, this graph's 10 x 10 ones do not
+    path = graph_file(random_detailed_balance_graph(np.random.default_rng(1), 10))
+    monkeypatch.setattr(netosc.graph, "DENSE_BYTES", 8 * 9 * 9)
+    for command in ("info", "check", "centrality"):  # O(edges): no n x n array
+        assert run([command, "--input", path]) == 0
+    capsys.readouterr()
+    for command in sorted(set(COMMANDS) - {"info", "check", "centrality"}):
+        code = run([command, "--input", path, "--t-end", "0.01"])
+        assert (code, single_error_line(capsys)["error"]) == (2, "GraphTooLarge"), command
+
+
+@pytest.mark.parametrize("command, kind, block", [
+    ("spectrum", "balanced", 12), ("flaming", "balanced", 12), ("spectrum", "oneway", 4),
+])
+def test_eigenvalue_requests_build_one_array_and_solve_the_linked_block(
+    graph_file, capsys, monkeypatch, command, kind, block
+):
+    if kind == "balanced":
+        g = random_detailed_balance_graph(np.random.default_rng(2), 12)
+    else:  # a directed 12-ring whose first three links also run back: L0 links nodes 0-3
+        ring = [(str(i), str((i + 1) % 12)) for i in range(12)]
+        g = from_edges(ring + [(d, s) for s, d in ring[:3]])
+    arrays, solves = [], []
+    dense, eigvalsh = netosc.graph.dense, np.linalg.eigvalsh
+    monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: solves.append(S.shape) or eigvalsh(S))
+
+    def refuse(*args):
+        raise AssertionError("a dense A, D or general eigensolve")
+
+    for owner, name in ((netosc.graph, "build_matrices"), (netosc.graph.WeightedDigraph,
+                        "adjacency"), (np, "diag"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run([command, "--input", graph_file(g)]) == 0
+    assert (arrays, solves) == ([12], [(block, block)])
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from netosc import build_matrices, from_edges
 from netosc.errors import (
     DuplicateEdge,
     EmptyGraph,
+    GraphTooLarge,
     InputError,
     NonPositiveWeight,
     ParseError,
     SelfLoop,
 )
+from netosc import graph
 from netosc.graph import WeightedDigraph, load_edge_list, parse_edge_list
 
 from conftest import (
@@ -93,6 +97,22 @@ def test_build_matrices_large_finite_weights():
 def test_build_matrices_directed_ring():
     _, _, L = build_matrices(ring3())
     assert np.array_equal(L, [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
+
+
+def test_the_dense_budget_is_checked_before_anything_is_allocated(monkeypatch):
+    n = 1000  # one n x n array would be 8 MB
+    g = from_edges([(str(i), str((i + 1) % n)) for i in range(n)])
+    _ = g.edge_arrays, g.reverse  # built before tracing
+    monkeypatch.setattr(graph, "DENSE_BYTES", 8 * n * n - 1)
+    tracemalloc.start()
+    try:
+        for build in (graph.laplacian, graph.build_matrices, WeightedDigraph.adjacency):
+            with pytest.raises(GraphTooLarge):
+                build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_laplacian_row_sums_zero(rng):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netosc import (
@@ -16,9 +16,10 @@ from netosc import (
     to_modes,
 )
 from netosc.errors import DimensionMismatch, NetoscError, NotSymmetrizable
-from netosc.symmetry import _fix_signs
+from netosc.symmetry import _fix_signs, symmetrized_eigenvalues
 
 from conftest import (
+    build_matrices_dense,
     check_symmetrizable_loops,
     decompose_laplacian_loops,
     fix_signs_loops,
@@ -29,6 +30,7 @@ from conftest import (
     random_undirected_skeleton,
     ring3,
     sym2,
+    symmetric_form_dense,
     symmetrized_form,
 )
 
@@ -110,7 +112,7 @@ def test_split_sums_exactly_and_one_way_certificate(rng):
 
 
 def test_symmetrize_two_node():
-    sd = symmetrize(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2))
+    sd = symmetrize(decompose_laplacian(sym2()))  # L0 = [[1, -1], [-1, 1]], m = 1
     assert np.allclose(sd.eigenvalues, [0.0, 2.0])
     r = 1 / np.sqrt(2)
     assert np.allclose(np.abs(sd.P), [[r, r], [r, r]])
@@ -118,7 +120,7 @@ def test_symmetrize_two_node():
 
 
 def test_symmetrize_zero_matrix_uses_identity_basis():
-    sd = symmetrize(np.zeros((3, 3)), np.ones(3))
+    sd = symmetrize(decompose_laplacian(ring3()))  # no reciprocal link: L0 = 0
     assert np.array_equal(sd.P, np.eye(3))
     assert np.array_equal(sd.eigenvalues, np.zeros(3))
 
@@ -127,7 +129,7 @@ def test_symmetrize_weighted_pair_hand_values():
     g = asym2()
     m = check_symmetrizable(g)
     _, _, L = build_matrices(g)
-    sd = symmetrize(L, m)
+    sd = symmetrize(decompose_laplacian(g))
     expected_S0 = np.array([[2.0, -np.sqrt(2.0)], [-np.sqrt(2.0), 1.0]])
     assert np.allclose(symmetrized_form(L, m), expected_S0, atol=1e-12)
     assert np.allclose(sd.P @ np.diag(sd.eigenvalues) @ sd.P.T, expected_S0, atol=1e-12)
@@ -257,6 +259,46 @@ def test_array_scans_match_the_edge_loops(seed, n, kind):
     for P in (np.linalg.eigh(0.5 * (S0 + S0.T))[1], rng.standard_normal((g.n, g.n))):
         assert same_bits(_fix_signs(P), fix_signs_loops(P))
 
+
+
+def dense_stage_graph(rng, n, kind):
+    """A random graph for the dense-stage property: balanced, balanced with one link
+    removed, with sinks (nodes of out-degree 0), or with no reciprocal link at all."""
+    if kind in ("balanced", "one_way"):
+        return scan_graph(rng, n, kind)
+    pairs = {(i, j) for i, j in rng.integers(0, n, size=(2 * n, 2)).tolist() if i != j}
+    if kind == "sinks":
+        sinks = set(rng.choice(n, size=max(1, n // 4), replace=False).tolist())
+        pairs = {(i, j) for i, j in pairs if i not in sinks}
+    else:
+        pairs = {(i, j) for i, j in pairs if i < j or (j, i) not in pairs}
+    edges = [(str(i), str(j), float(rng.uniform(0.5, 2.0))) for i, j in sorted(pairs or {(0, 1)})]
+    return from_edges(edges)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    kind=st.sampled_from(["balanced", "one_way", "sinks", "no_reciprocal"]),
+)
+def test_dense_stages_match_the_dense_construction(seed, n, kind):
+    # every matrix scattered from the links is bitwise the dense formula it replaced
+    g = dense_stage_graph(np.random.default_rng(seed), n, kind)
+    for got, want in zip(build_matrices(g), build_matrices_dense(g)):
+        assert same_bits(got, want)
+    split, want = decompose_laplacian(g), decompose_laplacian_loops(g)
+    for name in ("L0", "LI", "m"):
+        assert same_bits(getattr(split, name), getattr(want, name)), name
+    S, lam = split.symmetric_form(), symmetrized_eigenvalues(split)
+    if not np.any(want.L0):
+        assert S is None and same_bits(lam, np.zeros(g.n))
+        return
+    assert same_bits(S, symmetric_form_dense(want.L0, want.m))
+    # unlinked nodes deflate to exact zeros; the rest is the full solve within rounding
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(S)
+    assert np.abs(lam - np.linalg.eigvalsh(S)).max() <= bound
+    assert np.sum(lam == 0) >= np.sum(~S.any(axis=1))
 
 
 def test_check_builds_no_dense_matrix():
