@@ -9,14 +9,15 @@ two functions call scipy.linalg instead, imported by `linalg()` on its first
 call, never at import.  The choice follows from what the process has mapped;
 there is no setting.
 
-The numpy and scipy wheels each bundle their own OpenBLAS, each with a thread
-pool as wide as the machine.  At n up to a few hundred the two pools contend
-for the same cores and a command runs faster with one thread per pool; near
-n = 1000 two threads win again.  The pools are found in /proc/self/maps on the
-first call; MKL, Accelerate or a system without /proc yields no pool and the
-scope does nothing.  Importing scipy maps its own OpenBLAS, so `linalg()` reads
-the pools again; inside an open scope the new pool is set to one thread and
-restored with the others on exit.
+Each mapped OpenBLAS has a thread pool as wide as the machine.  At n up to a
+few hundred the extra threads buy no time: without the scope the benchmark's
+spectral and verify workloads took the same wall time for about twice the CPU
+time (2 vCPUs, numpy 2.4 wheel).  Near n = 1000 two threads win again (ROADMAP
+item 7).  The pools are found in /proc/self/maps on the first call; MKL,
+Accelerate or a system without /proc yields no pool and the scope does nothing.
+Importing scipy maps its own OpenBLAS, so `linalg()` reads the pools again;
+inside an open scope the new pool is set to one thread and restored with the
+others on exit.
 """
 
 from __future__ import annotations

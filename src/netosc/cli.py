@@ -2,7 +2,8 @@
 
 All reports are deterministic JSON (stable key order, 12-significant-digit
 floats); trajectories can be exported as CSV.  Exit codes: 0 success,
-1 usage, 2 input parse error, 3 numerical failure, 4 model violation.
+1 usage, 2 input parse error, 3 numerical failure (out of memory included),
+4 model violation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import _blas, doubled, dynamics, graph, sqrt_ops, symmetry
-from .errors import GridMismatch, NetoscError, NotSymmetrizable
+from .errors import GridMismatch, NetoscError, NotSymmetrizable, OutOfMemory
 from .reporting import canonical_json
 
 
@@ -146,7 +147,7 @@ def cmd_sqrt(args):
     bundle = _bundle_for_graph(g)
     report = {
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
-        "h_residual": sqrt_ops.node_sqrt_residual(bundle),
+        "h_residual": sqrt_ops.node_sqrt_residual(bundle, graph.laplacian(g)),
     }
     if getattr(args, "dump_operators", False):
         report["operators"] = {  # canonical_json writes complex entries as [re, im]
@@ -241,13 +242,13 @@ def verify_graph(path, args) -> dict:
     op = doubled.hat_H_structured(doubled.sparse_factors(g))
     step = doubled.structured_step(op, args.dt)
     wave = dynamics.wave_propagator(L, args.dt)
-    rng = np.random.default_rng(args.seed)
+    x_hat = np.random.default_rng(args.seed).standard_normal((100, 2 * g.n))
     return {
         "input": os.path.basename(path),
         "sparsity_match": doubled.sparsity_match(op, g),
         "eq19_residual": doubled.squared_expansion_residual(op),
         "eq22_residual": dynamics.recurrence_residual(step, wave, L, args.dt),
-        "eq26_residual": doubled.projection_identity_check(op, rng.standard_normal((100, 2 * g.n))),
+        "eq26_residual": doubled.projection_identity_check(op, x_hat, L),
         "theorem1_gap": doubled.theorem1_residual(op, step, wave),
     }
 
@@ -280,8 +281,12 @@ def run(argv) -> int:
     except GridMismatch as exc:
         parser.error(f"--t-end / --dt: {exc}")
     try:
-        with _blas.single_threaded():
-            result = COMMANDS[args.command](args)
+        try:
+            with _blas.single_threaded():
+                result = COMMANDS[args.command](args)
+                text = result if isinstance(result, str) else canonical_json(result) + "\n"
+        except MemoryError as exc:  # nothing is written yet: the output text is built here too
+            raise OutOfMemory(str(exc) or "out of memory") from exc
     except NetoscError as exc:
         sys.stderr.write(canonical_json(exc.payload()) + "\n")
         return exc.exit_code
@@ -289,10 +294,7 @@ def run(argv) -> int:
         error = "OSError" if type(exc) is OSError else type(exc).__name__.removesuffix("Error")
         sys.stderr.write(canonical_json({"error": error, "detail": str(exc)}) + "\n")
         return 2
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        sys.stdout.write(canonical_json(result) + "\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -117,11 +117,6 @@ def squared_expansion_residual(op: StructuredOperator) -> float:
     return float(np.linalg.norm(gaps))
 
 
-def laplacian_from_factors(f: SparseFactors) -> np.ndarray:
-    """L = Hd^2 - Hd Ha (and A = Hd Ha, D = Hd^2)."""
-    return np.diag(f.d_sqrt**2) - f.d_sqrt[:, None] * f.Ha
-
-
 def structured_step(op: StructuredOperator, dt) -> np.ndarray:
     """The real step expm(G dt), G = [[0, Hd], [Ha - Hd, 0]], of the (s, w) coordinates."""
     d_sqrt, Ha = op.factors.d_sqrt, op.factors.Ha
@@ -194,13 +189,14 @@ def lift_initial_conditions(f: SparseFactors, x0, v0) -> np.ndarray:
     return interleave(0.5 * (x0 + shift), 0.5 * (x0 - shift))
 
 
-def projection_identity_check(op: StructuredOperator, x_hat) -> float:
-    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x, H_hat^2 the shared op.square,
-    for one doubled state or the largest over the rows of a (k, 2n) array of them."""
+def projection_identity_check(op: StructuredOperator, x_hat, L: np.ndarray) -> float:
+    """Relative residual of (I (x) (1,1)) H_hat^2 x_hat = L x, H_hat^2 the shared op.square
+    and L the graph's Laplacian, for one doubled state or the largest over the rows of a
+    (k, 2n) array of them."""
     x_hat = np.atleast_2d(x_hat)
     x_hat = x_hat.astype(np.result_type(x_hat, float))
     lhs = x_hat @ branch_sum(op.square.T)
-    rhs = branch_sum(x_hat) @ laplacian_from_factors(op.factors).T
+    rhs = branch_sum(x_hat) @ L.T
     num = np.linalg.norm(lhs - rhs, axis=1)
     return float((num / np.maximum(1.0, np.linalg.norm(rhs, axis=1))).max())
 

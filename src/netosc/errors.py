@@ -69,6 +69,10 @@ class NumericalFailure(NetoscError):
     exit_code = 3
 
 
+class OutOfMemory(NumericalFailure):
+    """A MemoryError: the process ran out of memory (exit code 3)."""
+
+
 class SqrtUndefined(NumericalFailure):
     def __init__(self, eigenvalue, reason):
         super().__init__(f"square root undefined at eigenvalue {eigenvalue}: {reason}")

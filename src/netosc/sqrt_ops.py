@@ -125,8 +125,8 @@ class OperatorBundle:
     """Mode-space (Lambda/Omega) and node-space (H) operators of one split.
 
     Lambda, Omega and the eigensystem sd define it; the rest is derived on
-    first read.  Omega squares to Lambda and H squares to L; the interaction
-    parts are differences (H_I is *not* a square root of L_I).
+    first read.  Omega squares to Lambda and H to the graph's Laplacian L; the
+    interaction parts are differences (H_I is *not* a square root of L_I).
     """
 
     Lambda: np.ndarray
@@ -162,10 +162,6 @@ class OperatorBundle:
     def HI(self) -> np.ndarray:
         return self.H - self.H0
 
-    @cached_property
-    def L(self) -> np.ndarray:
-        return self._to_nodes(self.Lambda)
-
 
 def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBundle:
     """Assemble the Omega/H operator family from an eigensystem and Lambda_I."""
@@ -198,6 +194,6 @@ def sqrt_residual(bundle: OperatorBundle) -> float:
     return _relative_residual(bundle.Omega, bundle.Lambda)
 
 
-def node_sqrt_residual(bundle: OperatorBundle) -> float:
-    """Relative Frobenius residual of H^2 = L."""
-    return _relative_residual(bundle.H, bundle.L)
+def node_sqrt_residual(bundle: OperatorBundle, L: np.ndarray) -> float:
+    """Relative Frobenius residual of H^2 = L, for the graph's own Laplacian L."""
+    return _relative_residual(bundle.H, L)

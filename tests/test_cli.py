@@ -541,6 +541,24 @@ def test_dense_commands_refuse_a_graph_over_the_dense_budget(graph_file, capsys,
         assert (code, single_error_line(capsys)["error"]) == (2, "GraphTooLarge"), command
 
 
+@pytest.mark.parametrize(("argv", "stage", "message"), [
+    (["simulate"], "dynamics.integrate_wave", "Unable to allocate 2.98 GiB"),
+    (["decompose"], "reporting._normalize", ""),
+    (["simulate", "--format", "csv"], "dynamics.Trajectory.to_csv", "Unable to allocate"),
+], ids=["stepping", "json-text", "csv-text"])
+def test_running_out_of_memory_is_one_error_line(graph_file, monkeypatch, argv, stage, message):
+    # a stage or the output text that cannot be allocated: exit 3, nothing on stdout
+    def exhausted(*args, **kwargs):
+        monkeypatch.undo()  # once: the error line itself goes through reporting too
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"netosc.{stage}", exhausted)
+    code, out, err = run_captured(argv + ["--input", graph_file(path3()), "--t-end", "0.01"])
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "OutOfMemory", "detail": message or "out of memory"}
+
+
 @pytest.mark.parametrize("command, kind, block", [
     ("spectrum", "balanced", 12), ("flaming", "balanced", 12), ("spectrum", "oneway", 4),
 ])

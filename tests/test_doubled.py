@@ -17,7 +17,6 @@ from netosc.doubled import (
     hat_H_structured,
     integrate_doubled,
     interleave,
-    laplacian_from_factors,
     lift_initial_conditions,
     offdiag_block_pattern,
     projection_identity_check,
@@ -121,7 +120,7 @@ def test_sparse_factors_star():
     Hd = np.diag(f.d_sqrt)
     assert np.allclose(Hd @ Hd, D, atol=1e-12)
     assert np.allclose(Hd @ f.Ha, A, atol=1e-12)
-    assert np.allclose(laplacian_from_factors(f), L, atol=1e-12)
+    assert np.allclose(Hd @ Hd - Hd @ f.Ha, L, atol=1e-12)
     assert np.array_equal(f.Ha != 0, A != 0)
 
 
@@ -288,17 +287,29 @@ def test_doubled_sum_matches_wave(rng):
 
 
 def test_projection_identity(rng):
-    op = hat_H_structured(sparse_factors(star4()))
-    assert projection_identity_check(op, np.zeros(8)) == 0.0
+    op, L = hat_H_structured(sparse_factors(star4())), build_matrices(star4())[2]
+    assert projection_identity_check(op, np.zeros(8), L) == 0.0
     for _ in range(100):
         xh = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert projection_identity_check(op, xh) <= 1e-10
-    assert projection_identity_check(op, np.zeros((3, 8))) == 0.0
+        assert projection_identity_check(op, xh, L) <= 1e-10
+    assert projection_identity_check(op, np.zeros((3, 8)), L) == 0.0
     rows = rng.standard_normal((100, 8))
-    assert projection_identity_check(op, rows) <= 1e-10
+    assert projection_identity_check(op, rows, L) <= 1e-10
     # real rows take real products and read the value of the same rows cast to complex
-    real, cast = projection_identity_check(op, rows), projection_identity_check(op, rows + 0j)
+    real, cast = (projection_identity_check(op, x, L) for x in (rows, rows + 0j))
     assert abs(real - cast) <= 1e-15
+
+
+def test_projection_identity_reads_an_error_in_the_factors(rng):
+    # a relative error of 1e-8 in Ha must read ~1e-8 against the graph's L; an L rebuilt
+    # from the perturbed factors would hide it and read rounding (2.5e-16)
+    for seed in range(3):
+        g = random_digraph(np.random.default_rng(seed), 40)
+        f, L = sparse_factors(g), build_matrices(g)[2]
+        rows = rng.standard_normal((100, 2 * g.n))
+        assert projection_identity_check(hat_H_structured(f), rows, L) <= 1e-13
+        bad = hat_H_structured(SparseFactors(f.d_sqrt, f.Ha * (1 + 1e-8)))
+        assert projection_identity_check(bad, rows, L) > 1e-10
 
 
 def test_projection_identity_cancellation(rng):
@@ -309,7 +320,7 @@ def test_projection_identity_cancellation(rng):
     op = hat_H_structured(f)
     lhs = branch_sum(op.matrix @ (op.matrix @ xh))
     assert np.abs(lhs).max() <= 1e-10
-    assert projection_identity_check(op, xh) <= 1e-10
+    assert projection_identity_check(op, xh, build_matrices(g)[2]) <= 1e-10
 
 
 def test_infeasibility_witness_report():

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from netosc import _blas, build_matrices, principal_sqrt
-from netosc import from_edges, sqrt_residual
+from netosc import _blas, build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
+from netosc import from_edges, spectral_decomposition, sqrt_residual
 from netosc.errors import DimensionMismatch, NetoscError, NumericalFailure, SqrtUndefined
 from netosc.cli import run
 from netosc.sqrt_ops import OperatorBundle, _quasi_triangular_sqrt, _relative_residual
@@ -143,7 +143,7 @@ def test_residuals_small_on_random_graphs(rng):
         g = random_digraph(rng, int(rng.integers(3, 11)))
         b = bundle_for(g)
         assert sqrt_residual(b) <= 1e-8
-        assert node_sqrt_residual(b) <= 1e-7
+        assert node_sqrt_residual(b, build_matrices(g)[2]) <= 1e-7
 
 
 def test_exact_diagonal_residual_is_zero(rng):
@@ -243,7 +243,7 @@ def test_principal_sqrt_rejects_complex_input():
 
 def test_bundle_is_real(rng):
     b = bundle_for(random_digraph(rng, 12))
-    for name in ("Lambda", "Omega", "OmegaI", "H", "HI", "L"):
+    for name in ("Lambda", "Omega", "OmegaI", "H", "HI"):
         assert getattr(b, name).dtype == np.float64, name
 
 
@@ -258,7 +258,7 @@ def test_sqrt_tolerances_are_relative_below_norm_one():
     base, small = bundle_for(ring3()), bundle_for(tiny)
     assert np.allclose(small.Omega, 1e-6 * base.Omega, rtol=1e-9, atol=0)
     assert sqrt_residual(small) <= 1e-12
-    assert node_sqrt_residual(small) <= 1e-12
+    assert node_sqrt_residual(small, build_matrices(tiny)[2]) <= 1e-12
 
 
 @contextlib.contextmanager
@@ -377,11 +377,24 @@ def test_cli_root_of_a_tiny_ring_at_unit_scale(lapack_path, tmp_path, capsys):
 @pytest.mark.parametrize("w", [1e-200, 1e-170, 1e-150, 1e-100, 1.0, 1e100, 1e150])
 def test_a_doubled_root_reads_three_at_every_scale(w):
     # (2 Omega)^2 - Lambda = 3 Lambda: the plain norms underflowed to 0 below 1e-150
-    b = bundle_for(from_edges([("1", "2", w), ("2", "3", w), ("3", "1", w)]))
+    g = from_edges([("1", "2", w), ("2", "3", w), ("3", "1", w)])
+    b, L = bundle_for(g), build_matrices(g)[2]
     doubled = OperatorBundle(Lambda=b.Lambda, Omega=2 * b.Omega, sd=b.sd)
     assert sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
-    assert node_sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
-    assert sqrt_residual(b) <= 1e-14 and node_sqrt_residual(b) <= 1e-14
+    assert node_sqrt_residual(doubled, L) == pytest.approx(3.0, rel=1e-13)
+    assert sqrt_residual(b) <= 1e-14 and node_sqrt_residual(b, L) <= 1e-14
+
+
+def test_the_node_residual_reads_an_error_in_lambda_i():
+    # a relative error of 1e-8 in L_I must read ~1e-8 against the graph's L; an L rebuilt
+    # from the perturbed Lambda would hide it and read rounding (8.3e-15)
+    for seed in range(3):
+        g = random_digraph(np.random.default_rng(seed), 40)
+        split, sd = spectral_decomposition(g)
+        L = build_matrices(g)[2]
+        assert node_sqrt_residual(bundle_for(g), L) <= 1e-12
+        bad = build_bundle(sd, mode_interaction_matrix(split.LI * (1 + 1e-8), sd))
+        assert node_sqrt_residual(bad, L) > 1e-10
 
 
 def test_an_overflowing_residual_reads_infinity():

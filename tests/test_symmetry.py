@@ -301,6 +301,25 @@ def test_dense_stages_match_the_dense_construction(seed, n, kind):
     assert np.sum(lam == 0) >= np.sum(~S.any(axis=1))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    kind=st.sampled_from(["balanced", "one_way", "digraph"]),
+)
+def test_split_invariants(seed, n, kind):
+    g = scan_graph(np.random.default_rng(seed), n, kind)
+    split, L = decompose_laplacian(g), build_matrices(g)[2]
+    eps = np.finfo(float).eps
+    # LI = L - L0 and the sum back each round once: eps |L| entrywise, with a factor 2 spare
+    assert np.all(np.abs(split.L0 + split.LI - L) <= 2 * eps * np.abs(L))
+    # zero row sums to rounding on L's scale: L0 and LI take their roundings from L's entries
+    for X in (L, split.L0, split.LI):
+        assert np.all(np.abs(X.sum(axis=1)) <= n * eps * np.abs(L).sum(axis=1))
+    AI = np.diag(np.diag(split.LI)) - split.LI
+    assert np.all(AI >= 0)
+    assert not np.any(AI * AI.T)  # each linked pair keeps its one-way rest in one direction
+
+
 def test_check_builds_no_dense_matrix():
     # a bidirected ring with 4000 nodes: one dense n x n array would be 128 MB
     n = 4000
