@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _blas
 from .errors import DimensionMismatch, ModelViolation, NumericalFailure, SqrtUndefined
-from .symmetry import SpectralDecomposition
+from .symmetry import SpectralDecomposition, _conjugate
 
 ZERO_EIG_REL_TOL = 1e-10
 
@@ -148,7 +148,7 @@ class OperatorBundle:
     def _to_nodes(self, op: np.ndarray) -> np.ndarray:
         """M^{-1/2} (P op P^T) M^{+1/2}."""
         m_sqrt = np.sqrt(self.sd.m)
-        return (self.sd.P @ op @ self.sd.P.T) * np.outer(1.0 / m_sqrt, m_sqrt)
+        return _conjugate(op, self.sd, into_modes=False) * np.outer(1.0 / m_sqrt, m_sqrt)
 
     @cached_property
     def H(self) -> np.ndarray:

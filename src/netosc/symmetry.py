@@ -21,17 +21,21 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of the symmetrized form S0 = M^{1/2} L0 M^{-1/2}."""
+    """Eigensystem of the symmetrized form S0 = M^{1/2} L0 M^{-1/2}.  The modes `block` are
+    eigh of S0's block of linked rows, nodes[block]; every other mode p is the unit vector of
+    the unlinked node nodes[p] (a zero row of S0), in node order."""
 
     eigenvalues: np.ndarray      # ascending, eigenvalues[0] ~ 0
     P: np.ndarray                # orthogonal, columns are eigenvectors
     m: np.ndarray                # symmetrizing node weights
+    nodes: np.ndarray            # a permutation: the node of each mode, as above
+    block: np.ndarray            # the block's modes, ascending
 
 
 @dataclass(frozen=True)
 class LaplacianSplit:
     """L = L0 + LI with L0 symmetrizable (under m) and LI one-way; L0 is the Laplacian of
-    the links (src, dst, w0) of g, link k's reverse at rev[k].  L0 and LI are lazy."""
+    the links (src, dst, w0) of g, link k's reverse at rev[k].  L, L0 and LI are lazy."""
 
     g: WeightedDigraph
     links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (src, dst, w0, rev)
@@ -39,14 +43,20 @@ class LaplacianSplit:
     is_pure_symmetrizable: bool  # LI = 0
 
     @functools.cached_property
+    def L(self) -> np.ndarray:
+        return laplacian(self.g)
+
+    @functools.cached_property
     def L0(self) -> np.ndarray:
         return link_laplacian(self.g.n, *self.links[:3])
 
     @functools.cached_property
     def LI(self) -> np.ndarray:
-        """L - L0 entrywise, exact zeros on a symmetrizable graph."""
-        pure = self.is_pure_symmetrizable
-        return dense(self.g.n, [], [], []) if pure else laplacian(self.g) - self.L0
+        """L - L0 entrywise, exact zeros on a symmetrizable graph.  L0 is scattered afresh and
+        not kept: sqrt holds L for its residual instead."""
+        if self.is_pure_symmetrizable:
+            return dense(self.g.n, [], [], [])
+        return self.L - link_laplacian(self.g.n, *self.links[:3])
 
     def symmetric_form(self) -> np.ndarray | None:
         """0.5 (S0 + S0^T) for S0 = M^{1/2} L0 M^{-1/2}, or None when L0 = 0, filled from the
@@ -141,27 +151,44 @@ def _fix_signs(P: np.ndarray) -> np.ndarray:
 
 
 def _eigen(split: LaplacianSplit, vectors: bool):
-    """eigh (vectors) or eigvalsh of split.symmetric_form().  Each zero row and column of
-    it holds an exact eigenvalue 0, so eigvalsh solves the linked rows alone and merges
-    those zeros back in ascending order."""
+    """eigh (vectors) or eigvalsh of split.symmetric_form() on its linked rows alone.  Each
+    zero row and column holds an exact eigenvalue 0 with the node's unit vector as its mode;
+    those zeros go first and one stable ascending sort merges them in, so unlinked nodes keep
+    node order.  With vectors, also the block's sign-fixed eigenvectors Q, the node of each
+    mode (the linked nodes, ascending, for the block's) and the block's modes."""
     S, n = split.symmetric_form(), split.g.n
-    if S is None:
-        return (np.zeros(n), np.eye(n)) if vectors else np.zeros(n)
-    try:
-        if vectors:
-            return np.linalg.eigh(S)
-        live = np.flatnonzero(S.any(axis=1))
-        lam = np.linalg.eigvalsh(S if len(live) == n else S[np.ix_(live, live)])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return np.sort(np.concatenate([np.zeros(n - len(live)), lam]), kind="stable")
+    linked = np.zeros(n, dtype=bool) if S is None else S.any(axis=1)
+    live = np.flatnonzero(linked)
+    k = len(live)
+    lam, Q = np.zeros(0), np.zeros((0, 0))
+    if k:
+        S = S if k == n else S[np.ix_(live, live)]
+        try:
+            if vectors:
+                lam, Q = np.linalg.eigh(S)
+                Q = _fix_signs(Q)
+            else:
+                lam = np.linalg.eigvalsh(S)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    lam = np.concatenate([np.zeros(n - k), lam])
+    order = np.argsort(lam, kind="stable")
+    if not vectors:
+        return lam[order]
+    nodes = np.concatenate([np.flatnonzero(~linked), live])[order]
+    return lam[order], Q, nodes, np.flatnonzero(order >= n - k)
 
 
 def symmetrize(split: LaplacianSplit) -> SpectralDecomposition:
-    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} of a split (see _eigen); for L0 = 0 any
-    orthonormal basis works, so P is the identity."""
-    lam, P = _eigen(split, vectors=True)
-    return SpectralDecomposition(eigenvalues=lam, P=_fix_signs(P), m=split.m)
+    """Eigendecompose S0 = M^{1/2} L0 M^{-1/2} of a split (see _eigen).  P holds the block's
+    eigenvectors on its linked rows and a 1 at each unlinked node's row and mode; L0 = 0 is
+    the empty block, and P the identity."""
+    lam, Q, nodes, block = _eigen(split, vectors=True)
+    n = len(lam)
+    P = np.zeros((n, n))
+    P[nodes, np.arange(n)] = 1.0
+    P[np.ix_(nodes[block], block)] = Q
+    return SpectralDecomposition(eigenvalues=lam, P=P, m=split.m, nodes=nodes, block=block)
 
 
 def symmetrized_eigenvalues(split: LaplacianSplit) -> np.ndarray:
@@ -184,10 +211,30 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
 
 
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
-    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P; exact zeros when L_I is zero."""
+    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P (see _conjugate); exact zeros when L_I is zero."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
     if not np.any(LI):
         return np.zeros(LI.shape)
     m_sqrt = np.sqrt(sd.m)
-    return sd.P.T @ ((m_sqrt[:, None] * LI) * (1.0 / m_sqrt)) @ sd.P
+    return _conjugate((m_sqrt[:, None] * LI) * (1.0 / m_sqrt), sd, into_modes=True)
+
+
+def _conjugate(X: np.ndarray, sd: SpectralDecomposition, into_modes: bool) -> np.ndarray:
+    """P^T X P (into_modes) or P X P^T, the left product first.  Each unit mode is a gather
+    and only the k x k block Q multiplies; with every node linked Q is all of P and this is
+    the dense product, bit for bit."""
+    P, block = sd.P, sd.block
+    if len(block) == len(X):
+        return P.T @ X @ P if into_modes else P @ X @ P.T
+    live = sd.nodes[block]
+    Q = P[np.ix_(live, block)]
+    # P^T takes node nodes[p] to mode p and P mode p back to its node: one gather, then
+    # the block's rows through Q^T (or Q); the right factor does the same to the columns
+    idx, b_in, b_out, A = (sd.nodes, live, block, Q.T) if into_modes else (
+        np.argsort(sd.nodes), block, live, Q)
+    W = X[idx]
+    W[b_out] = A @ X[b_in]
+    out = W[:, idx]
+    out[:, b_out] = W[:, b_in] @ A.T
+    return out

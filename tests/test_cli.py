@@ -559,6 +559,12 @@ def test_running_out_of_memory_is_one_error_line(graph_file, monkeypatch, argv, 
     assert json.loads(line) == {"error": "OutOfMemory", "detail": message or "out of memory"}
 
 
+def ring12_with_three_back_links():
+    """A directed 12-ring whose first three links also run back: L0 links nodes 0-3."""
+    ring = [(str(i), str((i + 1) % 12)) for i in range(12)]
+    return from_edges(ring + [(d, s) for s, d in ring[:3]])
+
+
 @pytest.mark.parametrize("command, kind, block", [
     ("spectrum", "balanced", 12), ("flaming", "balanced", 12), ("spectrum", "oneway", 4),
 ])
@@ -567,9 +573,8 @@ def test_eigenvalue_requests_build_one_array_and_solve_the_linked_block(
 ):
     if kind == "balanced":
         g = random_detailed_balance_graph(np.random.default_rng(2), 12)
-    else:  # a directed 12-ring whose first three links also run back: L0 links nodes 0-3
-        ring = [(str(i), str((i + 1) % 12)) for i in range(12)]
-        g = from_edges(ring + [(d, s) for s, d in ring[:3]])
+    else:
+        g = ring12_with_three_back_links()
     arrays, solves = [], []
     dense, eigvalsh = netosc.graph.dense, np.linalg.eigvalsh
     monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
@@ -583,6 +588,24 @@ def test_eigenvalue_requests_build_one_array_and_solve_the_linked_block(
         monkeypatch.setattr(owner, name, refuse)
     assert run([command, "--input", graph_file(g)]) == 0
     assert (arrays, solves) == ([12], [(block, block)])
+
+
+@pytest.mark.parametrize("command", ["sqrt", "fundamental", "product-form"])
+def test_mode_requests_solve_the_linked_block(graph_file, capsys, monkeypatch, command):
+    # the eight unlinked nodes take their unit vectors as modes, with no solve; three n x n
+    # scatters: S0, L0 and L, which LI and sqrt's h_residual share
+    arrays, solves = [], []
+    dense, eigh = netosc.graph.dense, np.linalg.eigh
+    monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: solves.append(S.shape) or eigh(S))
+
+    def refuse(*args):
+        raise AssertionError("a general eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    argv = [command, "--input", graph_file(ring12_with_three_back_links()), "--t-end", "0.01"]
+    assert run(argv) == 0
+    assert (arrays, solves) == ([12] * 3, [(4, 4)])
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netosc import (
+    build_bundle,
     build_matrices,
     check_symmetrizable,
     decompose_laplacian,
     from_edges,
     mode_interaction_matrix,
+    principal_sqrt,
     spectral_decomposition,
     symmetrize,
     to_modes,
@@ -195,6 +197,64 @@ def test_conjugation_consistency(rng):
         S0 = symmetrized_form(split.L0, split.m)
         assert abs(sd.eigenvalues.sum() - np.trace(S0)) <= 1e-9
         assert np.allclose(sd.P.T @ S0 @ sd.P, np.diag(sd.eigenvalues), atol=1e-9)
+
+
+def ring_with_back_links(rng, n):
+    """A directed n-ring (n >= 3) whose links run back at random, weights at random: L0
+    links some nodes, maybe none or all."""
+    back = rng.random(n) < rng.uniform(0.0, 0.5)
+    edges = []
+    for i in range(n):
+        j = str((i + 1) % n)
+        edges.append((str(i), j, float(rng.uniform(0.5, 2.0))))
+        if back[i]:
+            edges.append((j, str(i), float(rng.uniform(0.5, 2.0))))
+    return from_edges(edges)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 30),
+    kind=st.sampled_from(["ring", "balanced"]),
+)
+def test_deflated_basis(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    g = ring_with_back_links(rng, n) if kind == "ring" else random_detailed_balance_graph(rng, n)
+    split = decompose_laplacian(g)
+    sd, S0 = symmetrize(split), split.symmetric_form()
+    S0 = np.zeros((n, n)) if S0 is None else S0
+    P, lam, eps = sd.P, sd.eigenvalues, np.finfo(float).eps
+    assert np.linalg.norm(P.T @ P - np.eye(n)) <= 16 * eps * np.sqrt(n)
+    # the backward error of eigh itself reaches 12 eps ||S0||_F at n = 23 on balanced graphs
+    assert np.linalg.norm(P * lam @ P.T - S0) <= 16 * eps * np.sqrt(n) * np.linalg.norm(S0)
+    assert np.all(np.diff(lam) >= 0)
+    unlinked = np.flatnonzero(~S0.any(axis=1))
+    modes = np.argmax(P[unlinked], axis=1)
+    assert np.all(np.diff(modes) > 0)
+    assert np.array_equal(P[:, modes], np.eye(n)[:, unlinked])
+
+    # the gathered rotations are the dense products within rounding
+    r = np.sqrt(split.m)
+    X = (r[:, None] * split.LI) * (1.0 / r)
+    lam_I = mode_interaction_matrix(split.LI, sd)
+    assert np.abs(lam_I - P.T @ X @ P).max() <= 16 * eps * np.linalg.norm(X)
+    b = build_bundle(sd, lam_I)
+    to_nodes = np.outer(1.0 / r, r)
+    assert np.abs(b.H - P @ b.Omega @ P.T * to_nodes).max() <= 16 * eps * np.linalg.norm(b.Omega)
+
+    # node-space operators do not depend on the basis: a full eigh gives the same H, and
+    # H0 within the root of eigh's rounding at each of S0's n eigenvalues
+    lam_full, P_full = np.linalg.eigh(S0)
+    root0 = np.sqrt(lam_full.clip(min=0.0))
+    Lambda = np.diag(lam_full.clip(min=0.0)) + P_full.T @ X @ P_full
+    Omega = principal_sqrt(Lambda) if np.any(X) else np.diag(root0)
+    H, H0 = P_full @ Omega @ P_full.T * to_nodes, P_full * root0 @ P_full.T * to_nodes
+    bound = 64 * eps * np.sqrt(n) * np.linalg.norm(H)
+    bound0 = to_nodes.max() * np.sqrt(16 * eps * n * np.linalg.norm(S0))
+    assert np.linalg.norm(b.H - H) <= bound
+    assert np.linalg.norm(b.H0 - H0) <= bound0
+    assert np.linalg.norm(b.HI - (H - H0)) <= bound + bound0
 
 
 def scan_graph(rng, n, kind):
