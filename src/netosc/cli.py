@@ -86,9 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bundle_for_graph(g):
+    """The L that LI = L - L0 came from (None when LI = 0, whose split scatters no L) and
+    g's operator bundle.  L0 and LI go before the Schur root, which sets the peak memory."""
     split, sd = symmetry.spectral_decomposition(g)
-    lam_I = symmetry.mode_interaction_matrix(split.LI, sd)
-    return split, sqrt_ops.build_bundle(sd, lam_I)
+    LI, L = split.LI, None if split.is_pure_symmetrizable else split.L
+    del split
+    lam_I = symmetry.mode_interaction_matrix(LI, sd)
+    del LI
+    return L, sqrt_ops.build_bundle(sd, lam_I)
 
 
 def _default_x0(n):
@@ -143,12 +148,11 @@ def cmd_spectrum(args):
 
 
 def cmd_sqrt(args):
-    split, bundle = _bundle_for_graph(graph.load_edge_list(args.input))
-    L = split.L  # on a one-way graph, the L that LI = L - L0 came from
-    del split    # LI goes before the residual products, which set the peak memory
+    g = graph.load_edge_list(args.input)
+    L, bundle = _bundle_for_graph(g)
     report = {
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
-        "h_residual": sqrt_ops.node_sqrt_residual(bundle, L),
+        "h_residual": sqrt_ops.node_sqrt_residual(bundle, graph.laplacian(g) if L is None else L),
     }
     if getattr(args, "dump_operators", False):
         report["operators"] = {  # canonical_json writes complex entries as [re, im]
@@ -174,7 +178,7 @@ def cmd_simulate(args):
 
 def cmd_fundamental(args):
     g = graph.load_edge_list(args.input)
-    _, bundle = _bundle_for_graph(g)
+    bundle = _bundle_for_graph(g)[1]
     psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
@@ -188,7 +192,7 @@ def cmd_fundamental(args):
 
 def cmd_product_form(args):
     g = graph.load_edge_list(args.input)
-    _, bundle = _bundle_for_graph(g)
+    bundle = _bundle_for_graph(g)[1]
     psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj, traj_I = dynamics.product_form_solve(
         bundle.omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt

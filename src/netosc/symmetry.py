@@ -52,11 +52,9 @@ class LaplacianSplit:
 
     @functools.cached_property
     def LI(self) -> np.ndarray:
-        """L - L0 entrywise, exact zeros on a symmetrizable graph.  L0 is scattered afresh and
-        not kept: sqrt holds L for its residual instead."""
-        if self.is_pure_symmetrizable:
-            return dense(self.g.n, [], [], [])
-        return self.L - link_laplacian(self.g.n, *self.links[:3])
+        """L - L0 entrywise, exact zeros on a symmetrizable graph."""
+        pure = self.is_pure_symmetrizable
+        return dense(self.g.n, [], [], []) if pure else self.L - self.L0
 
     def symmetric_form(self) -> np.ndarray | None:
         """0.5 (S0 + S0^T) for S0 = M^{1/2} L0 M^{-1/2}, or None when L0 = 0, filled from the

@@ -608,6 +608,14 @@ def test_mode_requests_solve_the_linked_block(graph_file, capsys, monkeypatch, c
     assert (arrays, solves) == ([12] * 3, [(4, 4)])
 
 
+def test_decompose_scatters_L0_once(graph_file, capsys, monkeypatch):
+    # L0 for the output and L for LI = L - L0, which reads the same L0
+    arrays, dense = [], netosc.graph.dense
+    monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
+    assert run(["decompose", "--input", graph_file(ring12_with_three_back_links())]) == 0
+    assert arrays == [12] * 2
+
+
 def test_non_utf8_input_exit_code(tmp_path, capsys):
     p = tmp_path / "binary.csv"
     p.write_bytes(b"\xff\xfe")
