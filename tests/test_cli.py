@@ -590,14 +590,20 @@ def test_eigenvalue_requests_build_one_array_and_solve_the_linked_block(
     assert (arrays, solves) == ([12], [(block, block)])
 
 
-@pytest.mark.parametrize("command", ["sqrt", "fundamental", "product-form"])
-def test_mode_requests_solve_the_linked_block(graph_file, capsys, monkeypatch, command):
-    # the eight unlinked nodes take their unit vectors as modes, with no solve; three n x n
-    # scatters: S0, L0 and L, which LI and sqrt's h_residual share
-    arrays, solves = [], []
+@pytest.mark.parametrize("command, scatters, solves", [
+    ("sqrt", 3, [(4, 4)]), ("fundamental", 3, [(4, 4)]), ("product-form", 3, [(4, 4)]),
+    ("decompose", 2, []),
+], ids=["sqrt", "fundamental", "product-form", "decompose"])
+def test_mode_requests_solve_the_linked_block(
+    graph_file, capsys, monkeypatch, command, scatters, solves
+):
+    # the eight unlinked nodes take their unit vectors as modes, with no solve; the n x n
+    # scatters are S0, L0 and L, which LI = L - L0 and sqrt's h_residual share (decompose
+    # needs no S0)
+    arrays, eighs = [], []
     dense, eigh = netosc.graph.dense, np.linalg.eigh
     monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
-    monkeypatch.setattr(np.linalg, "eigh", lambda S: solves.append(S.shape) or eigh(S))
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: eighs.append(S.shape) or eigh(S))
 
     def refuse(*args):
         raise AssertionError("a general eigensolve")
@@ -605,15 +611,7 @@ def test_mode_requests_solve_the_linked_block(graph_file, capsys, monkeypatch, c
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     argv = [command, "--input", graph_file(ring12_with_three_back_links()), "--t-end", "0.01"]
     assert run(argv) == 0
-    assert (arrays, solves) == ([12] * 3, [(4, 4)])
-
-
-def test_decompose_scatters_L0_once(graph_file, capsys, monkeypatch):
-    # L0 for the output and L for LI = L - L0, which reads the same L0
-    arrays, dense = [], netosc.graph.dense
-    monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
-    assert run(["decompose", "--input", graph_file(ring12_with_three_back_links())]) == 0
-    assert arrays == [12] * 2
+    assert (arrays, eighs) == ([12] * scatters, solves)
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):
