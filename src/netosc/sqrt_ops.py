@@ -66,17 +66,19 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     # rank(T) = rank(T11) + rank(T22): the zero eigenvalue is semisimple exactly
     # when T22 (zero on its diagonal to within zero_tol) vanishes off it; a tiny
     # complex pair there sits in a 2x2 block, so the subdiagonal counts too
-    T22 = T[k:, k:]
-    if k < n and np.abs(T22 - np.diag(np.diag(T22))).max() > 1e-12 * scale:
+    if k < n and np.abs(T[k:, k:] - np.diag(T.diagonal()[k:])).max() > 1e-12 * scale:
         raise SqrtUndefined(0.0, "defective zero eigenvalue")
 
-    U = np.zeros_like(T)
+    # U overwrites T, each block read before it is written; U22 = 0 roots the zero cluster
+    T[k:, k:] = 0.0
     if k:
-        _quasi_triangular_sqrt(T, U, 0, k)
+        _quasi_triangular_sqrt(T, T, 0, k)
         # U22 = 0, so the coupling U12 solves U11 U12 + U12 * 0 = T12
         if k < n:
-            U[:k, k:] = _blas.trsyl(U[:k, :k], np.zeros((n - k, n - k)), T[:k, k:])
-    return Z @ U @ Z.T
+            T[:k, k:] = _blas.trsyl(T[:k, :k], np.zeros((n - k, n - k)), T[:k, k:])
+    ZU = Z @ T
+    del T
+    return ZU @ Z.T
 
 
 def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
@@ -146,9 +148,13 @@ class OperatorBundle:
         return self.Omega - self.Omega0
 
     def _to_nodes(self, op: np.ndarray) -> np.ndarray:
-        """M^{-1/2} (P op P^T) M^{+1/2}."""
-        m_sqrt = np.sqrt(self.sd.m)
-        return _conjugate(op, self.sd, into_modes=False) * np.outer(1.0 / m_sqrt, m_sqrt)
+        """M^{-1/2} (P op P^T) M^{+1/2}; where m is all ones the scaling is skipped, which is
+        bitwise the same."""
+        out = _conjugate(op, self.sd, into_modes=False)
+        if np.any(self.sd.m != 1.0):
+            m_sqrt = np.sqrt(self.sd.m)
+            out *= np.outer(1.0 / m_sqrt, m_sqrt)
+        return out
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -163,30 +169,40 @@ class OperatorBundle:
         return self.H - self.H0
 
 
-def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray) -> OperatorBundle:
-    """Assemble the Omega/H operator family from an eigensystem and Lambda_I."""
+def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray | None) -> OperatorBundle:
+    """Assemble the Omega/H operator family from an eigensystem and Lambda_I, which is left
+    unchanged and let go once Lambda is formed; None or zeros give the diagonal Omega."""
     lam = sd.eigenvalues
     # ||S0||_F = ||lam||_2 since S0 = P diag(lam) P^T with P orthogonal
     if lam.min() < -ZERO_EIG_REL_TOL * np.linalg.norm(lam):
         raise SqrtUndefined(lam.min(), "negative symmetrizable eigenvalue")
-    LambdaI = np.asarray(LambdaI)
-    Lambda = np.diag(lam.clip(min=0.0)) + LambdaI
-    Omega = principal_sqrt(Lambda) if np.any(LambdaI) else np.diag(np.sqrt(lam.clip(min=0.0)))
-    return OperatorBundle(Lambda=Lambda, Omega=Omega, sd=sd)
+    lam = lam.clip(min=0.0)
+    if LambdaI is None or not np.any(LambdaI):
+        # diag(lam) + 0 is diag(lam) bit for bit: lam >= +0.0 and 0.0 + -0.0 = 0.0
+        return OperatorBundle(Lambda=np.diag(lam), Omega=np.diag(np.sqrt(lam)), sd=sd)
+    Lambda = np.diag(lam) + LambdaI
+    del LambdaI
+    return OperatorBundle(Lambda=Lambda, Omega=principal_sqrt(Lambda), sd=sd)
 
 
 def _unit_scale_norm(X: np.ndarray) -> float:
-    """||X||_F as max|X| ||X / max|X|||_F, which neither overflows nor underflows."""
-    peak = np.abs(X).max(initial=0.0)
+    """||X||_F as max|X| ||X / max|X|||_F, which neither overflows nor underflows; X is
+    scaled in place."""
+    peak = abs(float(np.maximum(-X.min(), X.max())))    # max|X| with no |X| array
     if not 0 < peak < np.inf:
-        return float(peak)  # 0, inf or nan: the norm itself
-    return float(peak * np.linalg.norm(X / peak, "fro"))
+        return peak  # 0, inf or nan: the norm itself
+    X /= peak
+    return float(peak * np.linalg.norm(X, "fro"))
 
 
 def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:
     """||root^2 - target||_F / ||target||_F, both norms at unit scale; the plain
-    norm when target = 0."""
-    return _unit_scale_norm(root @ root - target) / (_unit_scale_norm(target) or 1.0)
+    norm when target = 0.  One n x n buffer holds the difference, then target."""
+    X = root @ root
+    X -= target
+    num = _unit_scale_norm(X)
+    X[...] = target
+    return num / (_unit_scale_norm(X) or 1.0)
 
 
 def sqrt_residual(bundle: OperatorBundle) -> float:

@@ -209,13 +209,16 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
 
 
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
-    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P (see _conjugate); exact zeros when L_I is zero."""
+    """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P (see _conjugate); exact zeros when L_I is zero.
+    Where m is all ones the scaling is skipped, which is bitwise the same."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
     if not np.any(LI):
         return np.zeros(LI.shape)
-    m_sqrt = np.sqrt(sd.m)
-    return _conjugate((m_sqrt[:, None] * LI) * (1.0 / m_sqrt), sd, into_modes=True)
+    if np.any(sd.m != 1.0):
+        m_sqrt = np.sqrt(sd.m)
+        LI = (m_sqrt[:, None] * LI) * (1.0 / m_sqrt)
+    return _conjugate(LI, sd, into_modes=True)
 
 
 def _conjugate(X: np.ndarray, sd: SpectralDecomposition, into_modes: bool) -> np.ndarray:
@@ -233,6 +236,6 @@ def _conjugate(X: np.ndarray, sd: SpectralDecomposition, into_modes: bool) -> np
         np.argsort(sd.nodes), block, live, Q)
     W = X[idx]
     W[b_out] = A @ X[b_in]
-    out = W[:, idx]
+    out = np.take(W, idx, axis=1)                    # C-ordered, as the dense product is
     out[:, b_out] = W[:, b_in] @ A.T
     return out

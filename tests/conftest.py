@@ -1,6 +1,7 @@
 """Shared fixtures and random-graph generators for the test suite."""
 
 import math
+import tracemalloc
 from collections.abc import Sequence
 from types import SimpleNamespace
 
@@ -333,6 +334,24 @@ def null_weight_cross_check(g):
     if m.sum() < 0:
         m = -m
     return m / m.min()
+
+
+def square_bytes(n):
+    """Bytes of one n x n float64 array, the unit of the working-set bounds."""
+    return 8 * n * n
+
+
+def traced_peak(call):
+    """tracemalloc's peak in bytes over one call of `call`, after an untraced warm-up call
+    (imports, cached graph arrays, scipy).  It sees what numpy and Python allocate, not
+    LAPACK's own workspace: dsyevd, for one, takes about 2 n^2 float64 on its own."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,11 +39,13 @@ from conftest import (
     random_symmetric_graph,
     recurrence_bound,
     ring3,
+    square_bytes,
     star4,
     sym2,
     symmetrized_form,
     theorem1_bound,
     to_edge_list,
+    traced_peak,
 )
 
 
@@ -706,15 +707,33 @@ def test_theorem1_checks_store_no_trajectory(graph_file, command):
     check = (lambda: verify_graph(path, args)) if command == "verify" else (
         lambda: COMMANDS["doubled"](args)
     )
-    check()                              # scipy loads outside the measurement
-    tracemalloc.start()
-    try:
-        check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one [s | w] trajectory of the default grid: rows * 2n float64
-    assert peak < 10_001 * 2 * g.n * 8
+    # one [s | w] trajectory of the default grid, rows * 2n float64: 20002 / n arrays of n x n
+    assert traced_peak(check) < 10_001 * 2 / g.n * square_bytes(g.n)
+
+
+@pytest.mark.parametrize("kind, n", [("one-way", 120), ("balanced", 300)])
+def test_sqrt_holds_six_n_by_n_arrays(graph_file, kind, n):
+    # six arrays at the peak: P, L, Lambda, Z, Z U and Omega at the Schur root's
+    # back-transform, P, Lambda, Omega, L, H and one residual buffer at h_residual.  It
+    # read 6.29 and 6.33 here, against 9.26 and 7.15 before the root overwrote its Schur form.
+    # CPython 3.10 keeps a call's arguments until the call returns, so Lambda_I stays
+    # beside Lambda through the one-way root there: one array more.  The balanced graph is
+    # larger because numpy's broadcast buffers (128 KiB, 1.1 n^2 at n = 120) do not grow
+    # with n.  LAPACK's workspace is not traced (numpy's eigh hands dsyevd ~2 n^2 float64)
+    rng = np.random.default_rng(1)
+    g = random_digraph(rng, n) if kind == "one-way" else random_detailed_balance_graph(rng, n)
+    args = build_parser().parse_args(["sqrt", "--input", graph_file(g)])
+    held = 1 if kind == "one-way" and sys.version_info < (3, 11) else 0
+    assert traced_peak(lambda: COMMANDS["sqrt"](args)) < (6.5 + held) * square_bytes(n)
+
+
+def test_verify_drops_the_steps_before_the_square(graph_file):
+    # eq22 and Theorem 1 first, then the two 2n x 2n steps go before op.square (eq19, eq26):
+    # 22.5 n x n arrays at n = 150, against 27.9 with the steps and the square held at once
+    g = random_detailed_balance_graph(np.random.default_rng(1), 150)
+    path = graph_file(g)
+    args = build_parser().parse_args(["verify", "--input", path])
+    assert traced_peak(lambda: verify_graph(path, args)) < 24 * square_bytes(g.n)
 
 
 @pytest.mark.parametrize("closure", [5e-10, 9e-10])

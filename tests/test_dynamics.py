@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,9 +49,11 @@ from conftest import (
     random_symmetric_graph,
     ring3,
     second_order_residual,
+    square_bytes,
     star4,
     sym2,
     symmetrized_form,
+    traced_peak,
 )
 
 
@@ -282,15 +283,11 @@ def test_degree_centrality_builds_no_dense_matrix():
     n = 4000
     edges = [(str(i), str((i + 1) % n), 1.0 + i % 3) for i in range(n)]
     g = from_edges(edges + [(d, s, w) for s, d, w in edges])
-    tracemalloc.start()
-    try:
-        report = degree_centrality_energy(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report = degree_centrality_energy(g)
     weights = 1.0 + np.arange(n) % 3
     assert np.array_equal(report.per_node, (weights + np.roll(weights, 1)) / 2)
-    assert peak < 4 * 1024**2
+    # 4 MiB
+    assert traced_peak(lambda: degree_centrality_energy(g)) < 0.032768 * square_bytes(n)
 
 
 def test_degree_centrality_runs_no_eigensolver(monkeypatch):
@@ -586,14 +583,9 @@ def test_to_csv_matches_per_cell_formatting(rng):
 def test_to_csv_holds_one_block_of_floats_not_the_run(rng):
     # every cell as a Python float at once peaks near 5.8x the CSV text; 512-row
     # blocks peak near 2.1x: the formatted blocks, their join and one block of floats
+    # (a 3000 x 2 run has no n x n scale, so the bound stays a multiple of the text)
     traj = Trajectory(np.arange(3000) * 1e-3, rng.standard_normal((3000, 2)) * (1 + 1j))
-    tracemalloc.start()
-    try:
-        text = traj.to_csv()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * len(text)
+    assert traced_peak(traj.to_csv) < 2.5 * len(traj.to_csv())
 
 
 EPS = np.finfo(float).eps
@@ -763,15 +755,9 @@ def test_taylor_choice_minimises_the_products_offdiag_expm_runs():
 
 
 def test_the_wave_step_holds_n_by_n_powers_not_2n_by_2n_ones():
-    # at n = 150 and dt = 1e-3 the step peaked at 2.75 times its own 2n x 2n result (the
-    # result, and the sums and powers of one n x n series); the bound leaves 27% over that.
-    # A Taylor polynomial of the assembled 2n x 2n generator holds p + 1 powers of that
-    # size and peaked at 9.0 times the result
+    # at n = 150 and dt = 1e-3 the step peaked at 2.75 times its own 2n x 2n result, 11
+    # n x n arrays (the result, and the sums and powers of one n x n series); the bound
+    # leaves 27% over that.  A Taylor polynomial of the assembled 2n x 2n generator holds
+    # p + 1 powers of that size and peaked at 9.0 times the result
     L = build_matrices(random_digraph(np.random.default_rng(0), 150))[2]
-    tracemalloc.start()
-    try:
-        E = wave_propagator(L, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * E.nbytes
+    assert traced_peak(lambda: wave_propagator(L, 1e-3)) < 14 * square_bytes(150)

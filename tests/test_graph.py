@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,8 @@ from netosc import graph
 from netosc.graph import WeightedDigraph, load_edge_list, parse_edge_list
 
 from conftest import (
-    from_edges_loops, parse_edge_list_loops, random_digraph, ring3, to_edge_list,
+    from_edges_loops, parse_edge_list_loops, random_digraph, ring3, square_bytes, to_edge_list,
+    traced_peak,
 )
 
 
@@ -102,17 +101,15 @@ def test_build_matrices_directed_ring():
 def test_the_dense_budget_is_checked_before_anything_is_allocated(monkeypatch):
     n = 1000  # one n x n array would be 8 MB
     g = from_edges([(str(i), str((i + 1) % n)) for i in range(n)])
-    _ = g.edge_arrays, g.reverse  # built before tracing
-    monkeypatch.setattr(graph, "DENSE_BYTES", 8 * n * n - 1)
-    tracemalloc.start()
-    try:
+    monkeypatch.setattr(graph, "DENSE_BYTES", square_bytes(n) - 1)
+
+    def refused():
         for build in (graph.laplacian, graph.build_matrices, WeightedDigraph.adjacency):
             with pytest.raises(GraphTooLarge):
                 build(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+
+    # the warm-up builds g's edge arrays; the bound is 2^20 B
+    assert traced_peak(refused) < 0.131072 * square_bytes(n)
 
 
 def test_laplacian_row_sums_zero(rng):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -301,6 +301,29 @@ def test_principal_sqrt_of_huge_and_tiny_entries(lapack_path):
         assert np.allclose(root, np.diag([1.0, 2.0]) * np.sqrt(scale), rtol=1e-15, atol=0)
 
 
+def test_principal_sqrt_leaves_its_input_unchanged(lapack_path):
+    # the root overwrites the Schur form, which is a copy; ring3 has a complex pair and a
+    # zero eigenvalue, the 40-node graphs a linked block of 2x2 and 1x1 Schur blocks
+    mats = [build_matrices(ring3())[2]] + [
+        build_matrices(random_digraph(np.random.default_rng(seed), 40))[2] for seed in range(3)
+    ]
+    for mat in mats:
+        before = mat.copy()
+        root = principal_sqrt(mat)
+        assert mat.tobytes() == before.tobytes()
+        assert np.linalg.norm(root @ root - mat) <= 1e-12 * np.linalg.norm(mat)
+
+
+def test_build_bundle_leaves_lambda_i_unchanged():
+    for seed in range(3):
+        split, sd = spectral_decomposition(random_digraph(np.random.default_rng(seed), 40))
+        lam_I = mode_interaction_matrix(split.LI, sd)
+        before = lam_I.copy()
+        b = build_bundle(sd, lam_I)
+        assert lam_I.tobytes() == before.tobytes()
+        assert np.array_equal(b.Lambda, np.diag(sd.eigenvalues.clip(min=0.0)) + lam_I)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_principal_sqrt_rejects_non_finite_input(lapack_path, bad):
     mat = build_matrices(ring3())[2]
@@ -402,3 +425,23 @@ def test_an_overflowing_residual_reads_infinity():
     with np.errstate(over="ignore"):
         assert _relative_residual(np.array([[1e200]]), np.array([[1.0]])) == np.inf
     assert _relative_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
+def relative_residual_fresh(root, target):
+    """The residual with a fresh array at each step (|X| for the peak, X / peak for the
+    norm), the reference of the one-buffer _relative_residual."""
+    def norm(X):
+        peak = np.abs(X).max(initial=0.0)
+        return float(peak) if not 0 < peak < np.inf else float(peak * np.linalg.norm(X / peak))
+
+    return norm(root @ root - target) / (norm(target) or 1.0)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), exponent=st.integers(-150, 150))
+def test_the_one_buffer_residual_is_the_fresh_array_one(seed, n, exponent):
+    rng = np.random.default_rng(seed)
+    root, target = rng.standard_normal((2, n, n)) * 10.0**exponent
+    for t in (target, root @ root, np.zeros((n, n))):
+        got = _relative_residual(root, t)
+        assert got == relative_residual_fresh(root, t) and not np.signbit(got)  # +0.0 at 0
