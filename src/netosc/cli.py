@@ -87,15 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _bundle_for_graph(g):
     """The L that LI = L - L0 came from (None when LI = 0) and g's operator bundle.  L0 and
-    LI go once Lambda_I is formed, and Lambda_I once Lambda is; the peak, six n x n arrays,
-    is the Schur root's back-transform and cmd_sqrt's h_residual."""
+    LI go once Lambda_I is formed, and Lambda is formed in Lambda_I's buffer; the peak, six
+    n x n arrays, is the Schur root's back-transform and cmd_sqrt's h_residual."""
     split, sd = symmetry.spectral_decomposition(g)
     if split.is_pure_symmetrizable:
         return None, sqrt_ops.build_bundle(sd, None)
-    L, lam_I = split.L, [symmetry.mode_interaction_matrix(split.LI, sd)]
+    L, lam_I = split.L, symmetry.mode_interaction_matrix(split.LI, sd)
     del split
-    # pop leaves build_bundle the only reference (CPython 3.10 keeps one until the call returns)
-    return L, sqrt_ops.build_bundle(sd, lam_I.pop())
+    return L, sqrt_ops.build_bundle(sd, lam_I, overwrite_lambda_i=True)
 
 
 def _default_x0(n):

@@ -151,9 +151,12 @@ class OperatorBundle:
         """M^{-1/2} (P op P^T) M^{+1/2}; where m is all ones the scaling is skipped, which is
         bitwise the same."""
         out = _conjugate(op, self.sd, into_modes=False)
-        if np.any(self.sd.m != 1.0):
-            m_sqrt = np.sqrt(self.sd.m)
-            out *= np.outer(1.0 / m_sqrt, m_sqrt)
+        m_sqrt = self.sd.m_sqrt
+        if m_sqrt is not None:
+            # row i times 1/m_sqrt[i] * m_sqrt, np.outer's row: the broadcast product would
+            # take an n x n array and a buffer besides
+            for inv, row in zip(1.0 / m_sqrt, out):
+                row *= inv * m_sqrt
         return out
 
     @cached_property
@@ -169,9 +172,12 @@ class OperatorBundle:
         return self.H - self.H0
 
 
-def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray | None) -> OperatorBundle:
-    """Assemble the Omega/H operator family from an eigensystem and Lambda_I, which is left
-    unchanged and let go once Lambda is formed; None or zeros give the diagonal Omega."""
+def build_bundle(
+    sd: SpectralDecomposition, LambdaI: np.ndarray | None, overwrite_lambda_i: bool = False
+) -> OperatorBundle:
+    """Assemble the Omega/H operator family from an eigensystem and Lambda_I; None or zeros
+    give the diagonal Omega.  Lambda_I is left unchanged, unless overwrite_lambda_i hands
+    its float64 buffer over to hold Lambda."""
     lam = sd.eigenvalues
     # ||S0||_F = ||lam||_2 since S0 = P diag(lam) P^T with P orthogonal
     if lam.min() < -ZERO_EIG_REL_TOL * np.linalg.norm(lam):
@@ -180,8 +186,12 @@ def build_bundle(sd: SpectralDecomposition, LambdaI: np.ndarray | None) -> Opera
     if LambdaI is None or not np.any(LambdaI):
         # diag(lam) + 0 is diag(lam) bit for bit: lam >= +0.0 and 0.0 + -0.0 = 0.0
         return OperatorBundle(Lambda=np.diag(lam), Omega=np.diag(np.sqrt(lam)), sd=sd)
-    Lambda = np.diag(lam) + LambdaI
-    del LambdaI
+    # Lambda = diag(lam) + Lambda_I entry for entry: lam_i + Lambda_I[i, i] on the diagonal,
+    # Lambda_I + 0.0 off it, which turns -0.0 into +0.0 as 0.0 + Lambda_I does
+    Lambda = (np.asarray if overwrite_lambda_i else np.array)(LambdaI, dtype=float)
+    diagonal = lam + Lambda.diagonal()
+    Lambda += 0.0
+    np.fill_diagonal(Lambda, diagonal)
     return OperatorBundle(Lambda=Lambda, Omega=principal_sqrt(Lambda), sd=sd)
 
 

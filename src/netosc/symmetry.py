@@ -31,6 +31,11 @@ class SpectralDecomposition:
     nodes: np.ndarray            # a permutation: the node of each mode, as above
     block: np.ndarray            # the block's modes, ascending
 
+    @functools.cached_property
+    def m_sqrt(self) -> np.ndarray | None:
+        """sqrt(m), or None when every weight is 1 and M^{+-1/2} is the identity."""
+        return None if np.all(self.m == 1.0) else np.sqrt(self.m)
+
 
 @dataclass(frozen=True)
 class LaplacianSplit:
@@ -210,14 +215,13 @@ def to_modes(x: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
 
 def mode_interaction_matrix(LI: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     """Lambda_I = P^T (M^{1/2} L_I M^{-1/2}) P (see _conjugate); exact zeros when L_I is zero.
-    Where m is all ones the scaling is skipped, which is bitwise the same."""
+    Where m is all ones the scaling is skipped (sd.m_sqrt is None), which is bitwise the same."""
     if LI.shape != sd.P.shape:
         raise DimensionMismatch(f"LI shape {LI.shape} vs {sd.P.shape}")
     if not np.any(LI):
         return np.zeros(LI.shape)
-    if np.any(sd.m != 1.0):
-        m_sqrt = np.sqrt(sd.m)
-        LI = (m_sqrt[:, None] * LI) * (1.0 / m_sqrt)
+    if sd.m_sqrt is not None:
+        LI = (sd.m_sqrt[:, None] * LI) * (1.0 / sd.m_sqrt)
     return _conjugate(LI, sd, into_modes=True)
 
 

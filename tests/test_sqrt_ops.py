@@ -318,10 +318,16 @@ def test_build_bundle_leaves_lambda_i_unchanged():
     for seed in range(3):
         split, sd = spectral_decomposition(random_digraph(np.random.default_rng(seed), 40))
         lam_I = mode_interaction_matrix(split.LI, sd)
+        lam_I[lam_I == 0.0] = -0.0                   # 0.0 + -0.0 is +0.0 in diag(lam) + Lambda_I
         before = lam_I.copy()
         b = build_bundle(sd, lam_I)
         assert lam_I.tobytes() == before.tobytes()
-        assert np.array_equal(b.Lambda, np.diag(sd.eigenvalues.clip(min=0.0)) + lam_I)
+        Lambda = np.diag(sd.eigenvalues.clip(min=0.0)) + lam_I
+        assert b.Lambda.tobytes() == Lambda.tobytes()
+        # handed over, Lambda_I's own buffer becomes the same Lambda and gives the same root
+        taken = build_bundle(sd, lam_I, overwrite_lambda_i=True)
+        assert taken.Lambda is lam_I and lam_I.tobytes() == Lambda.tobytes()
+        assert taken.Omega.tobytes() == b.Omega.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,11 +31,9 @@ from conftest import (
     random_symmetric_graph,
     random_undirected_skeleton,
     ring3,
-    square_bytes,
     sym2,
     symmetric_form_dense,
     symmetrized_form,
-    traced_peak,
 )
 
 
@@ -230,7 +230,7 @@ def test_unit_weights_skip_the_scaling_bit_for_bit(seed, n):
     split, sd = spectral_decomposition(ring_with_back_links(np.random.default_rng(seed), n))
     assume(not split.is_pure_symmetrizable)
     r = np.sqrt(split.m)
-    assert np.all(r == 1.0)
+    assert np.all(r == 1.0) and sd.m_sqrt is None
     lam_I = mode_interaction_matrix(split.LI, sd)
     scaled = _conjugate((r[:, None] * split.LI) * (1.0 / r), sd, into_modes=True)
     assert lam_I.tobytes() == scaled.tobytes()
@@ -239,6 +239,18 @@ def test_unit_weights_skip_the_scaling_bit_for_bit(seed, n):
         scaled = _conjugate(op, sd, into_modes=False) * np.outer(1.0 / r, r)
         assert b._to_nodes(op).tobytes() == scaled.tobytes()
     assert b.H.flags.c_contiguous  # H @ H rounds by its layout
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+def test_row_by_row_scaling_is_the_outer_product_bit_for_bit(seed, n):
+    # a balanced eigensystem (m != 1): H scales P Omega P^T one row at a time
+    _, sd = spectral_decomposition(random_detailed_balance_graph(np.random.default_rng(seed), n))
+    r = np.sqrt(sd.m)
+    b = build_bundle(sd, None)
+    scaled = _conjugate(b.Omega, sd, into_modes=False) * np.outer(1.0 / r, r)
+    assert b.H.tobytes() == scaled.tobytes()
+    assert b.H.flags.c_contiguous
 
 
 @settings(max_examples=30)
@@ -414,6 +426,11 @@ def test_check_builds_no_dense_matrix():
     n = 4000
     edges = [(str(i), str((i + 1) % n), 1.0 + i % 3) for i in range(n)]
     g = from_edges(edges + [(d, s, w) for s, d, w in edges])
-    assert np.array_equal(check_symmetrizable(g), np.ones(n))
-    # 4 MiB
-    assert traced_peak(lambda: check_symmetrizable(g)) < 0.032768 * square_bytes(n)
+    tracemalloc.start()
+    try:
+        m = check_symmetrizable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m, np.ones(n))
+    assert peak < 4 * 1024**2
