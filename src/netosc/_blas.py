@@ -57,10 +57,10 @@ _GEES_FAILURES = {
 _scope: dict | None = None
 
 
-def _mapped(maps="/proc/self/maps"):
+def _mapped():
     """(library path, ctypes handle) of every OpenBLAS mapped into this process."""
     try:
-        with open(maps, encoding="utf-8") as fh:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
     except OSError:
         return []
@@ -72,10 +72,10 @@ def _mapped(maps="/proc/self/maps"):
 
 
 @functools.cache
-def _pools(maps="/proc/self/maps"):
+def _pools():
     """(library path, get, set) of every OpenBLAS loaded in this process."""
     pools = []
-    for lib, handle in _mapped(maps):
+    for lib, handle in _mapped():
         for get_name, set_name in _SYMBOLS:
             if hasattr(handle, get_name) and hasattr(handle, set_name):
                 get, put = getattr(handle, get_name), getattr(handle, set_name)

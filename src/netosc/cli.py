@@ -85,18 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bundle_for_graph(g):
-    """The L that LI = L - L0 came from (None when LI = 0) and g's operator bundle.  L0 and
-    LI go once Lambda_I is formed, and Lambda is formed in Lambda_I's buffer; the peak, six
-    n x n arrays, is the Schur root's back-transform and cmd_sqrt's h_residual."""
-    split, sd = symmetry.spectral_decomposition(g)
-    if split.is_pure_symmetrizable:
-        return None, sqrt_ops.build_bundle(sd, None)
-    L, lam_I = split.L, symmetry.mode_interaction_matrix(split.LI, sd)
-    del split
-    return L, sqrt_ops.build_bundle(sd, lam_I, overwrite_lambda_i=True)
-
-
 def _default_x0(n):
     x0 = np.zeros(n)
     x0[0] = 1.0
@@ -150,10 +138,10 @@ def cmd_spectrum(args):
 
 def cmd_sqrt(args):
     g = graph.load_edge_list(args.input)
-    L, bundle = _bundle_for_graph(g)
+    bundle = sqrt_ops.build_bundle(g)
     report = {
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
-        "h_residual": sqrt_ops.node_sqrt_residual(bundle, graph.laplacian(g) if L is None else L),
+        "h_residual": sqrt_ops.node_sqrt_residual(bundle, graph.laplacian(g)),
     }
     if getattr(args, "dump_operators", False):
         report["operators"] = {  # canonical_json writes complex entries as [re, im]
@@ -179,7 +167,7 @@ def cmd_simulate(args):
 
 def cmd_fundamental(args):
     g = graph.load_edge_list(args.input)
-    bundle = _bundle_for_graph(g)[1]
+    bundle = sqrt_ops.build_bundle(g)
     psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj = dynamics.integrate_fundamental(
         bundle.Omega, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt
@@ -193,7 +181,7 @@ def cmd_fundamental(args):
 
 def cmd_product_form(args):
     g = graph.load_edge_list(args.input)
-    bundle = _bundle_for_graph(g)[1]
+    bundle = sqrt_ops.build_bundle(g)
     psi0 = symmetry.to_modes(_default_x0(g.n), bundle.sd) if args.psi0 is None else args.psi0
     traj, traj_I = dynamics.product_form_solve(
         bundle.omega0, bundle.OmegaI, psi0, sign=args.sign, t_end=args.t_end, dt=args.dt

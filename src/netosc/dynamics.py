@@ -27,6 +27,7 @@ from .errors import (
 from .graph import WeightedDigraph, laplacian, out_degrees
 from .symmetry import SpectralDecomposition, decompose_laplacian, symmetrized_eigenvalues
 from .symmetry import spectral_decomposition  # noqa: F401  (perfbench wraps this binding)
+from .sqrt_ops import _unit_scale_norm
 
 T_END, DT = 10.0, 1e-3             # the default grid
 MAX_STEPS = 10**7                  # the most steps t_end / dt may ask for
@@ -382,7 +383,7 @@ def flaming_indicator(L) -> FlamingIndicator:
         eigs = np.linalg.eigvals(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    return _indicator(eigs, np.linalg.norm(L, "fro"))
+    return _indicator(eigs, _unit_scale_norm(L.copy()))
 
 
 def graph_flaming_indicator(g: WeightedDigraph) -> FlamingIndicator:
@@ -392,8 +393,8 @@ def graph_flaming_indicator(g: WeightedDigraph) -> FlamingIndicator:
     try:
         split = decompose_laplacian(g)  # the ||L||_F gate comes first
         if split.is_pure_symmetrizable:
-            d, w = out_degrees(g), g.edge_arrays[2]
-            return _indicator(symmetrized_eigenvalues(split)[::-1], math.sqrt(d @ d + w @ w))
+            norm = _unit_scale_norm(np.hstack([out_degrees(g), g.edge_arrays[2]]))
+            return _indicator(symmetrized_eigenvalues(split)[::-1], norm)
     except NumericalFailure:
         pass
     return flaming_indicator(laplacian(g))

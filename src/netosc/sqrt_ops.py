@@ -23,7 +23,10 @@ import numpy as np
 
 from . import _blas
 from .errors import DimensionMismatch, ModelViolation, NumericalFailure, SqrtUndefined
-from .symmetry import SpectralDecomposition, _conjugate
+from .graph import WeightedDigraph
+from .symmetry import (
+    SpectralDecomposition, _conjugate, mode_interaction_matrix, spectral_decomposition,
+)
 
 ZERO_EIG_REL_TOL = 1e-10
 
@@ -36,9 +39,9 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     axis and semisimple zero eigenvalues; raises SqrtUndefined otherwise.  The
     root of the nonsingular block is built by halves joined by Sylvester
     solves.  Real input only: a nonzero imaginary part raises ModelViolation,
-    a non-square shape DimensionMismatch, and a NaN or inf entry
-    NumericalFailure.  Tolerances are relative to ||A||_F, taken at unit scale
-    so that it neither overflows nor underflows; the zero matrix is its own root.
+    a non-square shape DimensionMismatch, and a NaN or inf entry, or a norm
+    beyond the float range, NumericalFailure.  Tolerances are relative to
+    ||A||_F, taken at unit scale; the zero matrix is its own root.
     """
     mat = np.asarray(mat)
     if np.iscomplexobj(mat) and np.any(mat.imag):
@@ -47,13 +50,11 @@ def principal_sqrt(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"principal_sqrt takes a square matrix, got {mat.shape}")
     n = mat.shape[0]
-    peak = np.abs(mat).max(initial=0.0)
-    if not np.isfinite(peak):
-        raise NumericalFailure("principal_sqrt takes a finite matrix")
-    if peak == 0:
+    scale = _unit_scale_norm(mat.copy())    # inf or nan where an entry is
+    if not np.isfinite(scale):
+        raise NumericalFailure("principal_sqrt takes a finite matrix with a finite norm")
+    if scale == 0:
         return mat.copy()
-    # the plain norm squares entries, which overflows above 1e154 and underflows below 1e-154
-    scale = peak * np.linalg.norm(mat / peak, "fro")
     zero_tol = ZERO_EIG_REL_TOL * scale
     # zero eigenvalues sorted last: T = [[T11, T12], [0, T22]] with T11
     # (k x k) nonsingular and T22 carrying the zero cluster
@@ -172,23 +173,23 @@ class OperatorBundle:
         return self.H - self.H0
 
 
-def build_bundle(
-    sd: SpectralDecomposition, LambdaI: np.ndarray | None, overwrite_lambda_i: bool = False
-) -> OperatorBundle:
-    """Assemble the Omega/H operator family from an eigensystem and Lambda_I; None or zeros
-    give the diagonal Omega.  Lambda_I is left unchanged, unless overwrite_lambda_i hands
-    its float64 buffer over to hold Lambda."""
+def build_bundle(g: WeightedDigraph) -> OperatorBundle:
+    """The Omega/H operator family of g: split and eigendecompose g, then
+    Lambda = diag(lam) + Lambda_I and its principal root.  A symmetrizable g has
+    Lambda_I = 0 and the diagonal Omega.  Otherwise the split (L, L0, L_I) goes once
+    Lambda_I is formed, and Lambda is formed in Lambda_I's own buffer."""
+    split, sd = spectral_decomposition(g)
     lam = sd.eigenvalues
     # ||S0||_F = ||lam||_2 since S0 = P diag(lam) P^T with P orthogonal
-    if lam.min() < -ZERO_EIG_REL_TOL * np.linalg.norm(lam):
+    if lam.min() < -ZERO_EIG_REL_TOL * _unit_scale_norm(lam.copy()):
         raise SqrtUndefined(lam.min(), "negative symmetrizable eigenvalue")
     lam = lam.clip(min=0.0)
-    if LambdaI is None or not np.any(LambdaI):
-        # diag(lam) + 0 is diag(lam) bit for bit: lam >= +0.0 and 0.0 + -0.0 = 0.0
+    if split.is_pure_symmetrizable:
         return OperatorBundle(Lambda=np.diag(lam), Omega=np.diag(np.sqrt(lam)), sd=sd)
+    Lambda = mode_interaction_matrix(split.LI, sd)
+    del split
     # Lambda = diag(lam) + Lambda_I entry for entry: lam_i + Lambda_I[i, i] on the diagonal,
     # Lambda_I + 0.0 off it, which turns -0.0 into +0.0 as 0.0 + Lambda_I does
-    Lambda = (np.asarray if overwrite_lambda_i else np.array)(LambdaI, dtype=float)
     diagonal = lam + Lambda.diagonal()
     Lambda += 0.0
     np.fill_diagonal(Lambda, diagonal)
@@ -196,13 +197,14 @@ def build_bundle(
 
 
 def _unit_scale_norm(X: np.ndarray) -> float:
-    """||X||_F as max|X| ||X / max|X|||_F, which neither overflows nor underflows; X is
-    scaled in place."""
-    peak = abs(float(np.maximum(-X.min(), X.max())))    # max|X| with no |X| array
+    """||X||_F (||X||_2 of a vector) as max|X| ||X / max|X|||_F: the plain norm squares
+    entries, which overflows above 1e154 and underflows below 1e-154.  X is scaled in
+    place."""
+    peak = abs(float(np.maximum(-X.min(initial=0.0), X.max(initial=0.0))))  # max|X|, no |X|
     if not 0 < peak < np.inf:
         return peak  # 0, inf or nan: the norm itself
     X /= peak
-    return float(peak * np.linalg.norm(X, "fro"))
+    return float(peak * np.linalg.norm(X))
 
 
 def _relative_residual(root: np.ndarray, target: np.ndarray) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from netosc import build_bundle, from_edges, mode_interaction_matrix, spectral_decomposition
+from netosc import from_edges
 from netosc.errors import (
     DuplicateEdge, EmptyGraph, NonPositiveWeight, NotSymmetrizable, NumericalFailure, ParseError,
     SelfLoop,
@@ -243,12 +243,6 @@ def fix_signs_loops(P):
         if P[i, k] < 0:
             P[:, k] = -P[:, k]
     return P
-
-
-def bundle_for(g):
-    """The operator bundle of a graph, as the CLI builds it."""
-    split, sd = spectral_decomposition(g)
-    return build_bundle(sd, mode_interaction_matrix(split.LI, sd))
 
 
 def kron_laplacian(L):

@@ -16,7 +16,6 @@ from netosc import (
     from_edges,
     integrate_fundamental,
     integrate_wave,
-    mode_interaction_matrix,
     node_energy,
     product_form_solve,
     spectral_decomposition,
@@ -50,11 +49,6 @@ from conftest import (
 )
 
 RNG = np.random.default_rng(12345)
-
-
-def bundle_for(g):
-    split, sd = spectral_decomposition(g)
-    return sd, build_bundle(sd, mode_interaction_matrix(split.LI, sd))
 
 
 def report(criterion, detail):
@@ -105,7 +99,7 @@ def test_criterion_3_square_roots():
     worst_omega, worst_h = 0.0, 0.0
     for _ in range(100):
         g = random_digraph(RNG, int(RNG.integers(3, 21)))
-        _, b = bundle_for(g)
+        b = build_bundle(g)
         _, _, L = build_matrices(g)  # the graph's own Laplacian, not one rebuilt from Lambda
         lam_norm = np.linalg.norm(b.Lambda, "fro")
         worst_omega = max(
@@ -120,7 +114,7 @@ def test_criterion_3_square_roots():
     assert worst_h <= 1e-7
 
     g = path5()
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     nnz_H = int(np.sum(np.abs(b.H) > 1e-8))
     nnz_L = int(np.sum(np.abs(build_matrices(g)[2]) > 1e-8))
     assert nnz_H > nnz_L
@@ -132,7 +126,7 @@ def test_criterion_4_energy_conservation():
     for _ in range(5):
         n = int(RNG.integers(4, 10))
         g = random_detailed_balance_graph(RNG, n)
-        sd, _ = bundle_for(g)
+        _, sd = spectral_decomposition(g)
         _, _, L = build_matrices(g)
         traj = integrate_wave(L, RNG.standard_normal(n), RNG.standard_normal(n), t_end=10.0, dt=1e-3)
         E = wave_energy_series(traj, sd)
@@ -165,14 +159,14 @@ def test_criterion_6_fundamental_implies_wave():
     for _ in range(10):
         n = int(RNG.integers(3, 12))
         g = random_digraph(RNG, n)
-        _, b = bundle_for(g)
+        b = build_bundle(g)
         psi0 = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
         for sign in "+-":
             traj = integrate_fundamental(b.Omega, psi0, sign, t_end=2.0, dt=1e-3)
             worst = max(worst, second_order_residual(traj, b.Lambda))
     assert worst <= 1e-5
 
-    _, b = bundle_for(sym2())
+    b = build_bundle(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
     tp = integrate_fundamental(b.Omega, psi0, "+", t_end=1.0, dt=1e-3)
     tm = integrate_fundamental(b.Omega, psi0, "-", t_end=1.0, dt=1e-3)
@@ -191,7 +185,7 @@ def test_criterion_7_product_form_equivalence():
     for _ in range(5):
         n = int(RNG.integers(3, 21))
         g = random_digraph(RNG, n)
-        _, b = bundle_for(g)
+        b = build_bundle(g)
         psi0 = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
         for sign in "+-":
             traj, _ = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)

@@ -1,6 +1,5 @@
 import contextlib
 import errno
-import functools
 import io
 import json
 import os
@@ -32,7 +31,6 @@ from netosc.reporting import canonical_json
 from netosc.symmetry import symmetrized_eigenvalues
 
 from conftest import (
-    bundle_for,
     path3,
     random_detailed_balance_graph,
     random_digraph,
@@ -464,7 +462,8 @@ def test_grid_too_short_for_a_difference_still_reports_the_residual(
         assert code == 0
         values.append((report[0] if command == "verify" else report)[key])
     assert values[0] == values[1]
-    K = build_matrices(star4())[2] if command == "verify" else bundle_for(star4()).Lambda
+    g = star4()
+    K = build_matrices(g)[2] if command == "verify" else sqrt_ops.build_bundle(g).Lambda
     assert values[0] <= recurrence_bound(K, 1e-3)
 
 
@@ -592,15 +591,15 @@ def test_eigenvalue_requests_build_one_array_and_solve_the_linked_block(
 
 
 @pytest.mark.parametrize("command, scatters, solves", [
-    ("sqrt", 3, [(4, 4)]), ("fundamental", 3, [(4, 4)]), ("product-form", 3, [(4, 4)]),
+    ("sqrt", 4, [(4, 4)]), ("fundamental", 3, [(4, 4)]), ("product-form", 3, [(4, 4)]),
     ("decompose", 2, []),
 ], ids=["sqrt", "fundamental", "product-form", "decompose"])
 def test_mode_requests_solve_the_linked_block(
     graph_file, capsys, monkeypatch, command, scatters, solves
 ):
     # the eight unlinked nodes take their unit vectors as modes, with no solve; the n x n
-    # scatters are S0, L0 and L, which LI = L - L0 and sqrt's h_residual share (decompose
-    # needs no S0)
+    # scatters are S0, L0 and L for LI = L - L0 (decompose needs no S0), and sqrt scatters L
+    # once more for h_residual, since the split's L goes before the root
     arrays, eighs = [], []
     dense, eigh = netosc.graph.dense, np.linalg.eigh
     monkeypatch.setattr(netosc.graph, "dense", lambda n, *a: arrays.append(n) or dense(n, *a))
@@ -713,12 +712,13 @@ def test_theorem1_checks_store_no_trajectory(graph_file, command):
 
 @pytest.mark.parametrize("kind", ["one-way", "balanced"])
 def test_sqrt_holds_six_n_by_n_arrays(graph_file, kind):
-    # six arrays at the peak: P, L, Lambda, Z, Z U and Omega at the Schur root's
-    # back-transform, P, Lambda, Omega, L, H and one residual buffer at h_residual.  At
-    # n = 200 it read 6.16 and 6.17 with numpy 2.4, against 9.15 and 7.16 before the root
-    # overwrote its Schur form; the rest is the graph's edge arrays and O(n) vectors.  The
-    # bound leaves half an array for other numpy versions' temporaries.  LAPACK's workspace
-    # is not traced (numpy's eigh hands dsyevd ~2 n^2 float64)
+    # six arrays at the peak: P, L, L0, L_I and the two arrays of Lambda_I's rotation, and
+    # P, Lambda, Omega, L, H and one residual buffer at h_residual; the Schur root's
+    # back-transform holds five, as the split goes first.  At n = 200 it read 6.15 and 6.17
+    # with numpy 2.4, against 9.15 and 7.16 before the root overwrote its Schur form; the
+    # rest is the graph's edge arrays and O(n) vectors.  The bound leaves half an array for
+    # other numpy versions' temporaries.  LAPACK's workspace is not traced (numpy's eigh
+    # hands dsyevd ~2 n^2 float64)
     n, rng = 200, np.random.default_rng(1)
     g = random_digraph(rng, n) if kind == "one-way" else random_detailed_balance_graph(rng, n)
     args = build_parser().parse_args(["sqrt", "--input", graph_file(g)])
@@ -944,9 +944,11 @@ def test_blas_scope_without_a_pool_does_nothing(
         "7f00-7f10 r-xp 00000000 08:01 42 /usr/lib/libc.so.6\n"
         "7f10-7f20 r-xp 00000000 08:01 43 /nonexistent/libopenblas.so.0\n"
     )
-    assert _blas._pools.__wrapped__(str(tmp_path / "missing")) == ()
-    assert _blas._pools.__wrapped__(str(maps)) == ()
-    monkeypatch.setattr(_blas, "_pools", functools.partial(_blas._pools.__wrapped__, str(maps)))
+    # a maps file that cannot be read, or one naming an OpenBLAS that cannot be loaded
+    for path in (tmp_path / "missing", maps):
+        monkeypatch.setattr(_blas, "open", lambda _, **kw: open(path, **kw), raising=False)
+        assert _blas._pools.__wrapped__() == ()
+    monkeypatch.setattr(_blas, "_pools", _blas._pools.__wrapped__)
     seen = []
     monkeypatch.setitem(COMMANDS, "info", lambda args: seen.append(blas_counts(blas_pools)) or {})
     set_blas(blas_pools, 2)

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netosc import build_matrices, from_edges, integrate_wave
+from netosc import build_bundle, build_matrices, from_edges, integrate_wave
 from netosc.doubled import (
     NILPOTENT,
     SIGN2,
@@ -38,7 +38,6 @@ from netosc.errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
 from conftest import (
-    bundle_for,
     extract_minus,
     extract_plus,
     k3,
@@ -520,7 +519,7 @@ def test_steps_obey_the_three_term_recurrence_up_to_rounding(seed, n, balanced, 
     L = build_matrices(g)[2]
     S = structured_step(hat_H_structured(sparse_factors(g)), dt)
     assert recurrence_residual(S, wave_propagator(L, dt), L, dt) <= recurrence_bound(L, dt)
-    b = bundle_for(g)
+    b = build_bundle(g)
     for sign in "+-":
         U = integrate_fundamental(b.Omega, np.zeros(n), sign, t_end=0.0, dt=dt).meta["step"]
         wave = wave_propagator(b.Lambda, dt)
@@ -543,7 +542,7 @@ def test_a_1e_8_operator_error_fails_the_recurrence_not_the_centered_difference(
     x_hat0 = lift_initial_conditions(f, rng.standard_normal(n), rng.standard_normal(n))
     run = sum_difference_run(op, x_hat0, t_end, dt)
     branch_sum = Trajectory(run.times, np.sqrt(2.0) * run.states[:, :n])
-    b = bundle_for(g)
+    b = build_bundle(g)
     psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     fundamental = integrate_fundamental(b.Omega, psi0, "+", t_end, dt)
     wrong_omega = integrate_fundamental(b.Omega * wrong, psi0, "+", t_end, dt)

@@ -16,7 +16,6 @@ from netosc import (
     from_edges,
     integrate_fundamental,
     integrate_wave,
-    mode_interaction_matrix,
     node_energy,
     product_form_solve,
     spectral_decomposition,
@@ -57,11 +56,6 @@ from conftest import (
 )
 
 
-def bundle_for(g):
-    split, sd = spectral_decomposition(g)
-    return sd, build_bundle(sd, mode_interaction_matrix(split.LI, sd))
-
-
 def test_wave_two_node_closed_form():
     _, _, L = build_matrices(sym2())
     traj = integrate_wave(L, np.array([1.0, 0.0]), np.zeros(2), t_end=1.0, dt=1e-3)
@@ -90,7 +84,7 @@ def test_wave_divergence_matches_indicator():
 
 def test_wave_energy_conservation(rng):
     g = random_detailed_balance_graph(rng, 7)
-    sd, _ = bundle_for(g)
+    _, sd = spectral_decomposition(g)
     _, _, L = build_matrices(g)
     x0 = rng.standard_normal(7)
     traj = integrate_wave(L, x0, rng.standard_normal(7), t_end=10.0, dt=1e-3)
@@ -109,14 +103,14 @@ def test_fundamental_diagonal_evolution():
 
 def test_fundamental_zero_state(rng):
     g = random_digraph(rng, 4)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     traj = integrate_fundamental(b.Omega, np.zeros(4, dtype=complex), "-", t_end=1.0, dt=1e-2)
     assert not np.any(traj.states)
 
 
 def test_fundamental_satisfies_second_order(rng):
     g = random_detailed_balance_graph(rng, 8)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     for sign in "+-":
         traj = integrate_fundamental(b.Omega, psi0, sign, t_end=2.0, dt=1e-3)
@@ -124,7 +118,7 @@ def test_fundamental_satisfies_second_order(rng):
 
 
 def test_superpose_trivial_combination(rng):
-    _, b = bundle_for(sym2())
+    b = build_bundle(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
     tp = integrate_fundamental(b.Omega, psi0, "+", t_end=1.0, dt=1e-3)
     tm = integrate_fundamental(b.Omega, psi0, "-", t_end=1.0, dt=1e-3)
@@ -133,7 +127,7 @@ def test_superpose_trivial_combination(rng):
 
 
 def test_superpose_conjugate_pair_is_real():
-    _, b = bundle_for(sym2())
+    b = build_bundle(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
     tp = integrate_fundamental(b.Omega, psi0, "+", t_end=1.0, dt=1e-3)
     tm = integrate_fundamental(b.Omega, psi0, "-", t_end=1.0, dt=1e-3)
@@ -143,7 +137,7 @@ def test_superpose_conjugate_pair_is_real():
 
 def test_superpose_generic_fails_first_order():
     # the documented two-node witness: second-order holds, first-order breaks
-    _, b = bundle_for(sym2())
+    b = build_bundle(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
     tp = integrate_fundamental(b.Omega, psi0, "+", t_end=1.0, dt=1e-3)
     tm = integrate_fundamental(b.Omega, psi0, "-", t_end=1.0, dt=1e-3)
@@ -161,7 +155,7 @@ def test_recurrence_residual_of_a_singular_or_non_finite_step_fails(fill):
 
 
 def test_superpose_grid_mismatch(rng):
-    _, b = bundle_for(sym2())
+    b = build_bundle(sym2())
     psi0 = np.array([1.0, 1.0], dtype=complex)
     tp = integrate_fundamental(b.Omega, psi0, "+", t_end=1.0, dt=1e-3)
     tm = integrate_fundamental(b.Omega, psi0, "-", t_end=0.5, dt=1e-3)
@@ -171,7 +165,7 @@ def test_superpose_grid_mismatch(rng):
 
 def test_product_form_free_case(rng):
     g = random_symmetric_graph(rng, 5)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     psi0 = rng.standard_normal(5).astype(complex)
     traj, traj_I = product_form_solve(b.omega0, b.OmegaI, psi0, "+", t_end=1.0, dt=1e-3)
     assert np.abs(traj_I.states - psi0).max() <= 1e-12
@@ -180,7 +174,7 @@ def test_product_form_free_case(rng):
 
 def test_product_form_matches_direct(rng):
     g = random_digraph(rng, 6)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for sign in "+-":
         traj, _ = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=5.0, dt=1e-3)
@@ -190,7 +184,7 @@ def test_product_form_matches_direct(rng):
 
 def test_product_form_rejects_a_matrix_of_root_frequencies():
     # a dense Omega0 was once accepted and all but its diagonal silently dropped
-    _, b = bundle_for(ring3())
+    b = build_bundle(ring3())
     with pytest.raises(DimensionMismatch):
         product_form_solve(b.Omega0, b.OmegaI, np.ones(3, dtype=complex), t_end=0.1, dt=1e-2)
 
@@ -198,7 +192,7 @@ def test_product_form_rejects_a_matrix_of_root_frequencies():
 @pytest.mark.parametrize("sign", ["plus", "", "+-", None])
 def test_first_order_solvers_reject_an_unknown_sign(sign):
     # product_form_solve once ran the '-' equation for anything but '+'
-    _, b = bundle_for(ring3())
+    b = build_bundle(ring3())
     psi0 = np.ones(3, dtype=complex)
     with pytest.raises(ValueError, match="sign must be"):
         integrate_fundamental(b.Omega, psi0, sign, t_end=0.1, dt=1e-2)
@@ -369,7 +363,7 @@ def grid_runs():
     """Each library entry point that steps a grid, as a function of (t_end, dt)."""
     g = star4()
     L = build_matrices(g)[2]
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     op = doubled.hat_H_structured(doubled.sparse_factors(g))
     x0, v0, psi0 = np.ones(4), np.zeros(4), np.ones(4, dtype=complex)
     return {
@@ -539,7 +533,7 @@ def product_form_reference(Omega0, OmegaI, psiI0, sign, t_end, dt):
 
 def test_product_form_matches_stepwise_rk4(rng):
     g = random_digraph(rng, 6)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for sign in "+-":
         traj, traj_I = product_form_solve(b.omega0, b.OmegaI, psi0, sign, t_end=2.0, dt=1e-3)
@@ -606,7 +600,7 @@ def test_fundamental_step_matches_scipy(seed, n, balanced, sign, dt):
     # Omega @ Omega reads far more
     rng = np.random.default_rng(seed)
     g = random_detailed_balance_graph(rng, n) if balanced else random_digraph(rng, n)
-    _, b = bundle_for(g)
+    b = build_bundle(g)
     step = integrate_fundamental(b.Omega, np.zeros(n), sign, t_end=0.0, dt=dt).meta["step"]
     want = scipy.linalg.expm((-1j if sign == "+" else 1j) * b.Omega * dt)
     assert np.linalg.norm(step - want) <= 4096 * EPS * np.linalg.norm(want)

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from netosc import _blas, build_bundle, build_matrices, mode_interaction_matrix, principal_sqrt
-from netosc import from_edges, spectral_decomposition, sqrt_residual
+from netosc import from_edges, spectral_decomposition, sqrt_ops, sqrt_residual
 from netosc.errors import DimensionMismatch, NetoscError, NumericalFailure, SqrtUndefined
 from netosc.cli import run
+from netosc.dynamics import flaming_indicator, graph_flaming_indicator
 from netosc.sqrt_ops import OperatorBundle, _quasi_triangular_sqrt, _relative_residual
 from netosc.sqrt_ops import node_sqrt_residual
 
 from conftest import (
-    bundle_for, path5, random_digraph, random_symmetric_graph, ring3, sym2, to_edge_list,
+    path5, random_detailed_balance_graph, random_digraph, random_symmetric_graph, ring3, sym2,
+    to_edge_list,
 )
 
 
@@ -116,7 +118,7 @@ def test_principal_sqrt_zero_matrix():
 
 def test_bundle_symmetrizable_is_diagonal(rng):
     g = random_symmetric_graph(rng, 6, weighted=True)
-    b = bundle_for(g)
+    b = build_bundle(g)
     assert not np.any(b.OmegaI)
     assert np.allclose(b.Omega, np.diag(np.diag(b.Omega)))
     assert np.all(np.diag(b.Omega).real >= 0)
@@ -124,7 +126,7 @@ def test_bundle_symmetrizable_is_diagonal(rng):
 
 
 def test_bundle_two_node_h_is_scaled_laplacian():
-    b = bundle_for(sym2())
+    b = build_bundle(sym2())
     _, _, L = build_matrices(sym2())
     assert np.allclose(b.H.real, L / np.sqrt(2.0), atol=1e-10)
     assert np.allclose(b.H @ b.H, L, atol=1e-10)
@@ -133,7 +135,7 @@ def test_bundle_two_node_h_is_scaled_laplacian():
 def test_bundle_ring_has_complex_spectrum():
     # the root of a real matrix with conjugate-pair eigenvalues is real, but
     # its spectrum leaves the real axis
-    b = bundle_for(ring3())
+    b = build_bundle(ring3())
     assert np.abs(np.linalg.eigvals(b.Omega).imag).max() > 1e-3
     assert sqrt_residual(b) <= 1e-8
 
@@ -141,20 +143,20 @@ def test_bundle_ring_has_complex_spectrum():
 def test_residuals_small_on_random_graphs(rng):
     for _ in range(10):
         g = random_digraph(rng, int(rng.integers(3, 11)))
-        b = bundle_for(g)
+        b = build_bundle(g)
         assert sqrt_residual(b) <= 1e-8
         assert node_sqrt_residual(b, build_matrices(g)[2]) <= 1e-7
 
 
 def test_exact_diagonal_residual_is_zero(rng):
     g = random_symmetric_graph(rng, 10, weighted=True)
-    assert sqrt_residual(bundle_for(g)) <= 1e-15
+    assert sqrt_residual(build_bundle(g)) <= 1e-15
 
 
 def test_square_root_fill_in_on_path():
     # sparse graph, dense square root: the root couples unlinked node pairs
     g = path5()
-    b = bundle_for(g)
+    b = build_bundle(g)
     _, _, L = build_matrices(g)
     nnz_H = int(np.sum(np.abs(b.H) > 1e-8))
     nnz_L = int(np.sum(np.abs(L) > 1e-8))
@@ -163,7 +165,7 @@ def test_square_root_fill_in_on_path():
 
 def test_spectral_mapping(rng):
     g = random_digraph(rng, 6)
-    b = bundle_for(g)
+    b = build_bundle(g)
     lam = np.linalg.eigvals(b.Lambda)
     omega = np.linalg.eigvals(b.Omega) ** 2
     # pair each eigenvalue of Omega^2 with its nearest one of Lambda, one to
@@ -242,7 +244,7 @@ def test_principal_sqrt_rejects_complex_input():
 
 
 def test_bundle_is_real(rng):
-    b = bundle_for(random_digraph(rng, 12))
+    b = build_bundle(random_digraph(rng, 12))
     for name in ("Lambda", "Omega", "OmegaI", "H", "HI"):
         assert getattr(b, name).dtype == np.float64, name
 
@@ -255,7 +257,7 @@ def test_principal_sqrt_rejects_non_square():
 def test_sqrt_tolerances_are_relative_below_norm_one():
     # weights of 1e-12 leave every eigenvalue below an absolute 1e-10 floor
     tiny = from_edges([("1", "2", 1e-12), ("2", "3", 1e-12), ("3", "1", 1e-12)])
-    base, small = bundle_for(ring3()), bundle_for(tiny)
+    base, small = build_bundle(ring3()), build_bundle(tiny)
     assert np.allclose(small.Omega, 1e-6 * base.Omega, rtol=1e-9, atol=0)
     assert sqrt_residual(small) <= 1e-12
     assert node_sqrt_residual(small, build_matrices(tiny)[2]) <= 1e-12
@@ -314,20 +316,26 @@ def test_principal_sqrt_leaves_its_input_unchanged(lapack_path):
         assert np.linalg.norm(root @ root - mat) <= 1e-12 * np.linalg.norm(mat)
 
 
-def test_build_bundle_leaves_lambda_i_unchanged():
-    for seed in range(3):
-        split, sd = spectral_decomposition(random_digraph(np.random.default_rng(seed), 40))
-        lam_I = mode_interaction_matrix(split.LI, sd)
-        lam_I[lam_I == 0.0] = -0.0                   # 0.0 + -0.0 is +0.0 in diag(lam) + Lambda_I
-        before = lam_I.copy()
-        b = build_bundle(sd, lam_I)
-        assert lam_I.tobytes() == before.tobytes()
-        Lambda = np.diag(sd.eigenvalues.clip(min=0.0)) + lam_I
+def test_lambda_is_diag_lam_plus_lambda_i_bit_for_bit(monkeypatch):
+    # Lambda is formed in Lambda_I's own buffer, yet holds the bytes of diag(lam) + Lambda_I:
+    # 0.0 + -0.0 is +0.0, so every -0.0 of Lambda_I turns into +0.0
+    made = []
+
+    def signed_zeros(LI, sd):
+        lam_I = mode_interaction_matrix(LI, sd)
+        lam_I[lam_I == 0.0] = -0.0
+        made.append(lam_I.copy())
+        return lam_I
+
+    monkeypatch.setattr(sqrt_ops, "mode_interaction_matrix", signed_zeros)
+    for g in (ring3(), *(random_digraph(np.random.default_rng(seed), 40) for seed in range(3))):
+        b = build_bundle(g)
+        (lam_I,) = made
+        made.clear()
+        assert np.signbit(lam_I[lam_I == 0.0]).all() and (lam_I == 0.0).any()
+        Lambda = np.diag(b.sd.eigenvalues.clip(min=0.0)) + lam_I
         assert b.Lambda.tobytes() == Lambda.tobytes()
-        # handed over, Lambda_I's own buffer becomes the same Lambda and gives the same root
-        taken = build_bundle(sd, lam_I, overwrite_lambda_i=True)
-        assert taken.Lambda is lam_I and lam_I.tobytes() == Lambda.tobytes()
-        assert taken.Omega.tobytes() == b.Omega.tobytes()
+        assert not np.signbit(b.Lambda[b.Lambda == 0.0]).any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -398,7 +406,7 @@ def test_cli_root_of_a_tiny_ring_at_unit_scale(lapack_path, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0 < report["omega_residual"] <= 1e-14
     assert 0 < report["h_residual"] <= 1e-14
-    b = bundle_for(g)
+    b = build_bundle(g)
     Omega, Lambda = b.Omega / np.sqrt(w), b.Lambda / w
     assert np.linalg.norm(Omega @ Omega - Lambda) <= 1e-14 * np.linalg.norm(Lambda)
 
@@ -407,7 +415,7 @@ def test_cli_root_of_a_tiny_ring_at_unit_scale(lapack_path, tmp_path, capsys):
 def test_a_doubled_root_reads_three_at_every_scale(w):
     # (2 Omega)^2 - Lambda = 3 Lambda: the plain norms underflowed to 0 below 1e-150
     g = from_edges([("1", "2", w), ("2", "3", w), ("3", "1", w)])
-    b, L = bundle_for(g), build_matrices(g)[2]
+    b, L = build_bundle(g), build_matrices(g)[2]
     doubled = OperatorBundle(Lambda=b.Lambda, Omega=2 * b.Omega, sd=b.sd)
     assert sqrt_residual(doubled) == pytest.approx(3.0, rel=1e-13)
     assert node_sqrt_residual(doubled, L) == pytest.approx(3.0, rel=1e-13)
@@ -421,9 +429,44 @@ def test_the_node_residual_reads_an_error_in_lambda_i():
         g = random_digraph(np.random.default_rng(seed), 40)
         split, sd = spectral_decomposition(g)
         L = build_matrices(g)[2]
-        assert node_sqrt_residual(bundle_for(g), L) <= 1e-12
-        bad = build_bundle(sd, mode_interaction_matrix(split.LI * (1 + 1e-8), sd))
+        assert node_sqrt_residual(build_bundle(g), L) <= 1e-12
+        Lambda = np.diag(sd.eigenvalues.clip(min=0.0))
+        Lambda += mode_interaction_matrix(split.LI * (1 + 1e-8), sd)
+        bad = OperatorBundle(Lambda=Lambda, Omega=principal_sqrt(Lambda), sd=sd)
         assert node_sqrt_residual(bad, L) > 1e-10
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["balanced", "one-way"]),
+    c=st.sampled_from([1e-300, 1e-200, 1e-170, 1e100, 1e150]),
+)
+def test_scaling_every_weight_keeps_the_verdict_and_the_root(seed, n, kind, c):
+    # cL has the eigenvalues of L times c: flaming's rate scales by sqrt(c), and its verdict
+    # and build_bundle's checks do not move.  Plain norms underflowed to 0 below 1e-160 and
+    # read an eigenvalue's rounding as divergence or as a negative eigenvalue.  Only values
+    # free of eigenvector signs are compared: the sign fix breaks ties by rounding.  A
+    # balanced L also goes through eigvals, which the command keeps for other graphs
+    rng = np.random.default_rng(seed)
+    g = random_detailed_balance_graph(rng, n) if kind == "balanced" else random_digraph(rng, n)
+    g_c = from_edges([(g.labels[i], g.labels[j], c * w) for i, j, w in g.edges])
+    L, L_c = build_matrices(g)[2], build_matrices(g_c)[2]
+    for flaming, arg, arg_c in ((graph_flaming_indicator, g, g_c), (flaming_indicator, L, L_c)):
+        base, scaled = flaming(arg), flaming(arg_c)
+        assert scaled.verdict == base.verdict
+        assert scaled.growth_rate == pytest.approx(np.sqrt(c) * base.growth_rate, rel=1e-9, abs=0)
+    built = []
+    for graph, lap in ((g, L), (g_c, L_c)):
+        try:
+            b = build_bundle(graph)
+        except SqrtUndefined:
+            built.append(False)
+            continue
+        built.append(True)
+        assert sqrt_residual(b) <= 1e-8 and node_sqrt_residual(b, lap) <= 1e-7
+    assert built[0] == built[1]
 
 
 def test_an_overflowing_residual_reads_infinity():

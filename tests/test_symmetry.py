@@ -227,14 +227,15 @@ def test_mode_interaction_matrix_leaves_l_i_unchanged(rng):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30))
 def test_unit_weights_skip_the_scaling_bit_for_bit(seed, n):
     # a one-way split has m = 1; Lambda_I and H skip M^{+-1/2}, which scales by exact ones
-    split, sd = spectral_decomposition(ring_with_back_links(np.random.default_rng(seed), n))
+    g = ring_with_back_links(np.random.default_rng(seed), n)
+    split, sd = spectral_decomposition(g)
     assume(not split.is_pure_symmetrizable)
     r = np.sqrt(split.m)
     assert np.all(r == 1.0) and sd.m_sqrt is None
     lam_I = mode_interaction_matrix(split.LI, sd)
     scaled = _conjugate((r[:, None] * split.LI) * (1.0 / r), sd, into_modes=True)
     assert lam_I.tobytes() == scaled.tobytes()
-    b = build_bundle(sd, lam_I)
+    b = build_bundle(g)
     for op in (b.Omega, b.Omega0):
         scaled = _conjugate(op, sd, into_modes=False) * np.outer(1.0 / r, r)
         assert b._to_nodes(op).tobytes() == scaled.tobytes()
@@ -245,10 +246,9 @@ def test_unit_weights_skip_the_scaling_bit_for_bit(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
 def test_row_by_row_scaling_is_the_outer_product_bit_for_bit(seed, n):
     # a balanced eigensystem (m != 1): H scales P Omega P^T one row at a time
-    _, sd = spectral_decomposition(random_detailed_balance_graph(np.random.default_rng(seed), n))
-    r = np.sqrt(sd.m)
-    b = build_bundle(sd, None)
-    scaled = _conjugate(b.Omega, sd, into_modes=False) * np.outer(1.0 / r, r)
+    b = build_bundle(random_detailed_balance_graph(np.random.default_rng(seed), n))
+    r = np.sqrt(b.sd.m)
+    scaled = _conjugate(b.Omega, b.sd, into_modes=False) * np.outer(1.0 / r, r)
     assert b.H.tobytes() == scaled.tobytes()
     assert b.H.flags.c_contiguous
 
@@ -280,7 +280,7 @@ def test_deflated_basis(seed, n, kind):
     X = (r[:, None] * split.LI) * (1.0 / r)
     lam_I = mode_interaction_matrix(split.LI, sd)
     assert np.abs(lam_I - P.T @ X @ P).max() <= 16 * eps * np.linalg.norm(X)
-    b = build_bundle(sd, lam_I)
+    b = build_bundle(g)
     to_nodes = np.outer(1.0 / r, r)
     assert np.abs(b.H - P @ b.Omega @ P.T * to_nodes).max() <= 16 * eps * np.linalg.norm(b.Omega)
 
