@@ -143,7 +143,7 @@ def cmd_sqrt(args):
         "omega_residual": sqrt_ops.sqrt_residual(bundle),
         "h_residual": sqrt_ops.node_sqrt_residual(bundle, graph.laplacian(g)),
     }
-    if getattr(args, "dump_operators", False):
+    if args.dump_operators:
         report["operators"] = {  # canonical_json writes complex entries as [re, im]
             name: np.asarray(getattr(bundle, name), dtype=complex)
             for name in ("Lambda", "Omega", "Omega0", "OmegaI", "H", "H0", "HI")

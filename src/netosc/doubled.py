@@ -21,7 +21,8 @@ import numpy as np
 from . import dynamics
 from .dynamics import DT, T_END, Trajectory, _propagate
 from .errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
-from .graph import WeightedDigraph, build_matrices
+from .graph import WeightedDigraph, out_degrees
+from .graph import build_matrices  # noqa: F401  (perfbench wraps this binding)
 
 SIGN2 = np.diag([1.0, -1.0])
 NILPOTENT = 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
@@ -68,12 +69,18 @@ def hat_H_spectral(H: np.ndarray) -> np.ndarray:
 
 
 def sparse_factors(g: WeightedDigraph) -> SparseFactors:
-    A, D, _ = build_matrices(g)
-    d = np.diag(D)
-    for i, di in enumerate(d):
-        if di == 0:
-            raise ZeroDegreeNode(g.labels[i])
-    return SparseFactors(d_sqrt=np.sqrt(d), Ha=A / np.sqrt(d)[:, None])
+    """Hd and Ha from one scatter of the adjacency, divided in place.  d is its row sums,
+    bitwise laplacian(g)'s diagonal (see graph.link_laplacian).  out_degrees' gate comes
+    first, so DegreeOverflow precedes ZeroDegreeNode, which names the first sink."""
+    out_degrees(g)
+    Ha = g.adjacency()
+    d = Ha.sum(axis=1)
+    sinks = np.flatnonzero(d == 0)
+    if len(sinks):
+        raise ZeroDegreeNode(g.labels[sinks[0]])
+    d_sqrt = np.sqrt(d)
+    Ha /= d_sqrt[:, None]
+    return SparseFactors(d_sqrt=d_sqrt, Ha=Ha)
 
 
 def hat_H_structured(f: SparseFactors) -> StructuredOperator:
@@ -85,9 +92,9 @@ def hat_H_structured(f: SparseFactors) -> StructuredOperator:
     return StructuredOperator(matrix=matrix, factors=f)
 
 
-def offdiag_block_pattern(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean n x n mask: 2x2 block (i, j), i != j, has any entry above tol."""
-    a = np.abs(matrix) > tol
+def offdiag_block_pattern(matrix: np.ndarray) -> np.ndarray:
+    """Boolean n x n mask: 2x2 block (i, j), i != j, has a nonzero entry."""
+    a = matrix != 0
     pattern = a[0::2, 0::2] | a[0::2, 1::2] | a[1::2, 0::2] | a[1::2, 1::2]
     np.fill_diagonal(pattern, False)
     return pattern

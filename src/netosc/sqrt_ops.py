@@ -176,7 +176,7 @@ class OperatorBundle:
 def build_bundle(g: WeightedDigraph) -> OperatorBundle:
     """The Omega/H operator family of g: split and eigendecompose g, then
     Lambda = diag(lam) + Lambda_I and its principal root.  A symmetrizable g has
-    Lambda_I = 0 and the diagonal Omega.  Otherwise the split (L, L0, L_I) goes once
+    Lambda_I = 0 and the diagonal Omega.  Otherwise the split (L0, L_I) goes once
     Lambda_I is formed, and Lambda is formed in Lambda_I's own buffer."""
     split, sd = spectral_decomposition(g)
     lam = sd.eigenvalues

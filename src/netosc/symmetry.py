@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetrizable, NumericalFailure
-from .graph import WeightedDigraph, dense, laplacian, link_laplacian, out_degrees
+from .graph import WeightedDigraph, laplacian, link_laplacian, out_degrees
 
 DEFAULT_TOL = 1e-9
 
@@ -40,7 +40,7 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class LaplacianSplit:
     """L = L0 + LI with L0 symmetrizable (under m) and LI one-way; L0 is the Laplacian of
-    the links (src, dst, w0) of g, link k's reverse at rev[k].  L, L0 and LI are lazy."""
+    the links (src, dst, w0) of g, link k's reverse at rev[k].  L0 and LI are lazy."""
 
     g: WeightedDigraph
     links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (src, dst, w0, rev)
@@ -48,18 +48,16 @@ class LaplacianSplit:
     is_pure_symmetrizable: bool  # LI = 0
 
     @functools.cached_property
-    def L(self) -> np.ndarray:
-        return laplacian(self.g)
-
-    @functools.cached_property
     def L0(self) -> np.ndarray:
         return link_laplacian(self.g.n, *self.links[:3])
 
     @functools.cached_property
     def LI(self) -> np.ndarray:
-        """L - L0 entrywise, exact zeros on a symmetrizable graph."""
-        pure = self.is_pure_symmetrizable
-        return dense(self.g.n, [], [], []) if pure else self.L - self.L0
+        """L - L0 entrywise, L scattered and L0 subtracted in its buffer: +0.0 throughout
+        on a symmetrizable graph, whose L0 is L."""
+        LI = laplacian(self.g)
+        LI -= self.L0
+        return LI
 
     def symmetric_form(self) -> np.ndarray | None:
         """0.5 (S0 + S0^T) for S0 = M^{1/2} L0 M^{-1/2}, or None when L0 = 0, filled from the

@@ -712,13 +712,13 @@ def test_theorem1_checks_store_no_trajectory(graph_file, command):
 
 @pytest.mark.parametrize("kind", ["one-way", "balanced"])
 def test_sqrt_holds_six_n_by_n_arrays(graph_file, kind):
-    # six arrays at the peak: P, L, L0, L_I and the two arrays of Lambda_I's rotation, and
-    # P, Lambda, Omega, L, H and one residual buffer at h_residual; the Schur root's
-    # back-transform holds five, as the split goes first.  At n = 200 it read 6.15 and 6.17
-    # with numpy 2.4, against 9.15 and 7.16 before the root overwrote its Schur form; the
-    # rest is the graph's edge arrays and O(n) vectors.  The bound leaves half an array for
-    # other numpy versions' temporaries.  LAPACK's workspace is not traced (numpy's eigh
-    # hands dsyevd ~2 n^2 float64)
+    # six arrays at the peak: P, Lambda, Omega, L, H and one residual buffer at h_residual;
+    # Lambda_I's formation holds five (P, L0, L_I and the two arrays of its rotation, 5.15
+    # at n = 200) and so does the Schur root's back-transform, as the split goes first.
+    # At n = 200 it read 6.15 and 6.17 with numpy 2.4, against 9.15 and 7.16 before the
+    # root overwrote its Schur form; the rest is the graph's edge arrays and O(n) vectors.
+    # The bound leaves half an array for other numpy versions' temporaries.  LAPACK's
+    # workspace is not traced (numpy's eigh hands dsyevd ~2 n^2 float64)
     n, rng = 200, np.random.default_rng(1)
     g = random_digraph(rng, n) if kind == "one-way" else random_detailed_balance_graph(rng, n)
     args = build_parser().parse_args(["sqrt", "--input", graph_file(g)])

@@ -34,7 +34,7 @@ from netosc.dynamics import (
     recurrence_residual,
     wave_propagator,
 )
-from netosc.errors import DimensionMismatch, NumericalFailure, ZeroDegreeNode
+from netosc.errors import DegreeOverflow, DimensionMismatch, NumericalFailure, ZeroDegreeNode
 from netosc.sqrt_ops import principal_sqrt
 
 from conftest import (
@@ -48,9 +48,11 @@ from conftest import (
     recurrence_bound,
     ring3,
     second_order_residual,
+    square_bytes,
     star4,
     sym2,
     theorem1_bound,
+    traced_peak,
 )
 
 
@@ -104,8 +106,8 @@ def test_hat_H_spectral_zero():
 def test_hat_H_spectral_inherits_fill_in():
     g = path5()
     _, _, L = build_matrices(g)
-    H = principal_sqrt(L).real
-    pattern = offdiag_block_pattern(hat_H_spectral(H), tol=1e-8)
+    H_hat = hat_H_spectral(principal_sqrt(L).real)
+    pattern = offdiag_block_pattern(np.where(np.abs(H_hat) > 1e-8, H_hat, 0.0))
     assert np.any(pattern & ~(g.adjacency() > 0))
 
 
@@ -133,6 +135,40 @@ def test_sparse_factors_symmetric_pair():
 def test_sparse_factors_sink_rejected():
     with pytest.raises(ZeroDegreeNode):
         sparse_factors(from_edges([("1", "2", 1.0)]))
+
+
+def test_sparse_factors_gate_the_degrees_before_the_sinks():
+    # b is a sink and row a overflows ||L||_F: the gate every Laplacian takes comes first
+    g = from_edges([("a", "b", 1e200), ("a", "c", 1e200), ("c", "a", 1.0)])
+    with pytest.raises(DegreeOverflow):
+        sparse_factors(g)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    kind=st.sampled_from(["balanced", "one_way"]),
+)
+def test_sparse_factors_match_the_dense_matrices_bit_for_bit(seed, n, kind):
+    # d is the adjacency's row sums, bitwise L's diagonal, at scales from 1e-150 to 1e150
+    rng = np.random.default_rng(seed)
+    base = random_detailed_balance_graph(rng, n) if kind == "balanced" else random_digraph(rng, n)
+    scale = 10.0 ** rng.uniform(-150, 150)
+    g = from_edges([(base.labels[s], base.labels[d], w * scale) for s, d, w in base.edges])
+    A, _, L = build_matrices(g)
+    d_sqrt = np.sqrt(np.diag(L))
+    f = sparse_factors(g)
+    assert f.d_sqrt.tobytes() == d_sqrt.tobytes()
+    assert f.Ha.tobytes() == (A / d_sqrt[:, None]).tobytes()
+
+
+def test_sparse_factors_hold_one_n_by_n_array():
+    # Ha is the adjacency's own scatter, divided in place: 1.38 arrays at n = 150, the rest
+    # being the graph's edge arrays and O(n) vectors
+    n = 150
+    g = random_digraph(np.random.default_rng(2), n)
+    assert traced_peak(lambda: sparse_factors(g)) < 1.6 * square_bytes(n)
 
 
 def test_nilpotent_factor():

@@ -18,6 +18,7 @@ from netosc import (
     to_modes,
 )
 from netosc.errors import DimensionMismatch, NetoscError, NotSymmetrizable
+from netosc.graph import laplacian
 from netosc.symmetry import _conjugate, _fix_signs, symmetrized_eigenvalues
 
 from conftest import (
@@ -31,9 +32,11 @@ from conftest import (
     random_symmetric_graph,
     random_undirected_skeleton,
     ring3,
+    square_bytes,
     sym2,
     symmetric_form_dense,
     symmetrized_form,
+    traced_peak,
 )
 
 
@@ -419,6 +422,27 @@ def test_split_invariants(seed, n, kind):
     AI = np.diag(np.diag(split.LI)) - split.LI
     assert np.all(AI >= 0)
     assert not np.any(AI * AI.T)  # each linked pair keeps its one-way rest in one direction
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    kind=st.sampled_from(["balanced", "one_way", "digraph", "inconsistent"]),
+)
+def test_li_is_l_minus_l0_bit_for_bit(seed, n, kind):
+    # signed zeros included: a symmetrizable graph's LI is L - L, all +0.0
+    g = scan_graph(np.random.default_rng(seed), n, kind)
+    split = decompose_laplacian(g)
+    assert same_bits(split.LI, laplacian(g) - split.L0)
+    assert not hasattr(split, "L")
+
+
+def test_the_one_way_part_holds_two_n_by_n_arrays():
+    # L0, cached, and LI, formed in L's own buffer: 2.02 arrays at n = 300
+    n = 300
+    g = random_digraph(np.random.default_rng(1), n)
+    assert traced_peak(lambda: decompose_laplacian(g).LI) < 2.5 * square_bytes(n)
 
 
 def test_check_builds_no_dense_matrix():
